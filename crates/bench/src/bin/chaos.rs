@@ -41,12 +41,12 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
 use std::time::{Duration, Instant};
 
-use dsm_bench::SweepJournal;
+use dsm_bench::{SweepJournal, SweepPoint};
 use dsm_core::fault::{install, FaultPlan, FaultSite};
 use dsm_core::obs::{write_json_atomic, Json};
 use dsm_core::{Metrics, Report, ShardEngine, ShardTuning, System, SystemSpec};
 use dsm_trace::rng::TraceRng;
-use dsm_trace::{codec, SharedTrace};
+use dsm_trace::{codec, Scale, SharedTrace, WorkloadKind};
 use dsm_types::{Addr, ClusterId, DsmError, Geometry, MemRef, ProcId, Topology};
 
 const USAGE: &str = "chaos [--seeds <n,n,...>] [--sha <hex>] [--reproduce <path>] [--golden <dir>]";
@@ -256,11 +256,11 @@ fn run_journal_scenario(plan: FaultPlan, tmp: &Path, label: &str) -> Result<(), 
     let path = tmp.join(format!("journal-{}.jsonl", plan.io_failures));
     let _ = fs::remove_file(&path);
     let journal = SweepJournal::create(&path)?;
-    journal.set_scope("chaos");
+    let scale = Scale::new(0.05).map_err(|e| DsmError::internal(e.to_string()))?;
     install(Some(plan));
     for i in 0..APPENDS {
-        let point = format!("p{i}");
-        journal.record_ok(&point, &sample_report(&point), 0.0);
+        let point = SweepPoint::new(SystemSpec::vb_sized(1024 << i), WorkloadKind::Lu);
+        journal.record_ok(&point, scale, &sample_report(&point.label), 0.0);
     }
     install(None);
     let disabled = journal.disabled_points();

@@ -13,40 +13,49 @@
 //! reproduce --epoch <refs> [--trace-events] [--scale <f>] [--out <dir>]
 //! ```
 //!
-//! The first form reproduces the figures; with `--out` it also writes the
-//! full machine-readable dataset to `<dir>/reproduce_full.json` plus the
-//! wall-clock timings to `<dir>/timings.json`. The dataset file carries
-//! no timestamps or wall times, so two runs at the same scale are
-//! byte-identical regardless of `--jobs` — the determinism CI job diffs
-//! exactly that file (and stdout).
+//! The first form reproduces the figures through one point table
+//! (`dsm_bench::points`): the union of the selected figures' specs,
+//! deduplicated by spec content, so each distinct simulation runs once
+//! (all 11 figures plot 61 points per kernel and simulate 34). The table
+//! runs workload-major — generate a workload's trace, sweep every
+//! distinct spec over it, drop it — and each figure is then projected
+//! from the table and printed. With `--out` it also writes the full
+//! machine-readable dataset to `<dir>/reproduce_full.json` plus the
+//! timings to `<dir>/timings.json` (stage breakdown, plotted and
+//! simulated point counts). The dataset file carries no timestamps or
+//! wall times, so two runs at the same scale are byte-identical
+//! regardless of `--jobs` — the determinism CI job diffs exactly that
+//! file (and stdout).
 //!
 //! Telemetry (all off by default; none of it perturbs the simulation or
-//! the diffable dataset): `--progress` streams one line per completed
-//! sweep point to stderr with Mrefs/s and an ETA; `--phase-stats` runs
-//! every point under the phase profiler and folds per-point phase-counter
-//! rollups into `timings.json`; `--chrome-trace <file>` records
-//! hierarchical spans (figure → trace load → sweep point, one lane per
-//! sweep worker) and writes a chrome://tracing JSON trace.
+//! the diffable dataset): `--progress` streams one line per simulated
+//! point to stderr with Mrefs/s and an ETA; `--phase-stats` runs every
+//! point under the phase profiler and folds each point's phase-counter
+//! rollup into `timings.json`, under the figure that owns its label;
+//! `--chrome-trace <file>` records spans (trace loads, sweep points and
+//! workers, one lane per sweep worker, and each figure's projection) and
+//! writes a chrome://tracing JSON trace.
 //!
-//! `--journal <file>` appends every completed sweep point to an fsynced
-//! JSONL journal as it finishes; if the run is killed, `--resume <file>`
-//! reloads the journal, skips the completed points, and merges their
-//! recorded reports with the freshly computed remainder — producing the
-//! same bytes an uninterrupted run would have. `--figures` /
-//! `--workloads` restrict the run to a comma-separated subset (figure
-//! keys: fig3..fig11, fig6-tight, origin).
+//! `--journal <file>` appends every completed point to an fsynced JSONL
+//! journal as it finishes, keyed by spec content, workload and scale; if
+//! the run is killed, `--resume <file>` reloads the journal, skips the
+//! completed points, and merges their recorded reports with the freshly
+//! computed remainder — producing the same bytes an uninterrupted run
+//! would have. `--figures` / `--workloads` restrict the run to a
+//! comma-separated subset (figure keys: fig3..fig11, fig6-tight, origin).
 //!
-//! Every figure executes through the parallel sweep engine
+//! The table executes through the parallel sweep engine
 //! (`dsm_bench::sweep`) on `--jobs <n>` workers (default: all hardware
 //! threads; env `DSM_JOBS`); `--jobs 1` is the exact legacy serial path.
 //! `--shard-workers <n>` (env `DSM_SHARD_WORKERS`) additionally replays
 //! each point through the sharded engine on up to `n` threads — metric-
 //! and byte-identical to the oracle for any value, with the sweep worker
 //! count shrunk to `jobs/n` so the two levels share one thread budget.
-//! A figure whose sweep points fail does not abort the rest: remaining
-//! figures still run, the failure summaries (with one-line `simulate`
-//! repro invocations) are printed at the end, no dataset is written, and
-//! the process exits with the first failure's code.
+//! A failed point does not abort the sweep: every other point still
+//! runs, every figure that does not need a failed point still prints,
+//! the failure summaries (with one-line `simulate` repro invocations)
+//! are printed at the end, no dataset is written, and the process exits
+//! with the first failure's code.
 //!
 //! The second form runs the *instrumented* reproduction instead: each
 //! workload runs on the key system configurations (`base`, `vb`, `ncd`,
@@ -57,17 +66,17 @@
 //! `--trace-events` additionally streams every structured event to
 //! `<dir>/<workload>_<system>.events.jsonl`.
 
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Instant;
 
-use dsm_bench::figures::{
-    all_workloads, fig10, fig11, fig3, fig4, fig5, fig6, fig7, fig8, fig9, origin, tables,
-};
+use dsm_bench::figures::{all_workloads, tables, Figure, FIGURES};
 use dsm_bench::harness::{parse_argv, usage_exit, RunArgs};
-use dsm_bench::{FigureTable, SweepJournal, TraceSet};
+use dsm_bench::{PointTable, SweepJournal, SweepPoint, TraceSet};
 use dsm_core::obs::span::SpanTracer;
 use dsm_core::obs::{write_json_atomic, Json, JsonlSink, StatsSink};
 use dsm_core::{PcSize, PhaseCounters, SystemSpec, Tee};
@@ -317,6 +326,16 @@ fn run_figures(flags: &Flags) -> Result<(), DsmError> {
         jobs.get(),
         flags.run.shard_workers
     );
+    if let Some(wanted) = &flags.figures {
+        for w in wanted {
+            if !FIGURES.iter().any(|f| f.key == w) {
+                return Err(DsmError::usage(format!(
+                    "unknown figure '{w}' (known: {})",
+                    FIGURES.map(|f| f.key).join(", ")
+                )));
+            }
+        }
+    }
 
     let journal: Option<Arc<SweepJournal>> = match (&flags.journal, &flags.resume) {
         (Some(path), None) => Some(Arc::new(SweepJournal::create(path)?)),
@@ -341,96 +360,90 @@ fn run_figures(flags: &Flags) -> Result<(), DsmError> {
     println!("{}", tables::table3());
 
     let kinds = flags.workloads.clone().unwrap_or_else(all_workloads);
-    type Runner = fn(&mut TraceSet, &[WorkloadKind]) -> Result<FigureTable, DsmError>;
-    // (journal scope key, dataset name, runner)
-    let figures: Vec<(&str, &str, Runner)> = vec![
-        ("fig3", "fig3", fig3::run as Runner),
-        ("fig4", "fig4", fig4::run as Runner),
-        ("fig5", "fig5", fig5::run as Runner),
-        ("fig6", "fig6", fig6::run as Runner),
-        (
-            "fig6-tight",
-            "fig6-tight (supplementary)",
-            fig6::run_tight as Runner,
-        ),
-        ("fig7", "fig7", fig7::run as Runner),
-        ("fig8", "fig8", fig8::run as Runner),
-        ("fig9", "fig9", fig9::run as Runner),
-        ("fig10", "fig10", fig10::run as Runner),
-        ("fig11", "fig11", fig11::run as Runner),
-        ("origin", "origin (supplementary)", origin::run as Runner),
-    ];
-    if let Some(wanted) = &flags.figures {
-        for w in wanted {
-            if !figures.iter().any(|(key, _, _)| key == w) {
-                return Err(DsmError::usage(format!(
-                    "unknown figure '{w}' (known: {})",
-                    figures
-                        .iter()
-                        .map(|(key, _, _)| *key)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )));
-            }
+    let figures: Vec<&Figure> = FIGURES
+        .iter()
+        .filter(|f| {
+            flags
+                .figures
+                .as_ref()
+                .is_none_or(|wanted| wanted.iter().any(|w| w == f.key))
+        })
+        .collect();
+    let specs: Vec<Vec<SystemSpec>> = figures.iter().map(|f| (f.specs)()).collect();
+    let table = PointTable::new(specs.iter().cloned());
+    eprintln!(
+        "reproduce: {} figure(s) plot {} point(s) per workload, {} distinct",
+        figures.len(),
+        table.plotted(),
+        table.simulated()
+    );
+
+    // The point table, workload-major: one trace at a time, every
+    // distinct point of every figure swept over it.
+    let mut ts = TraceSet::from_args(&flags.run);
+    ts.set_journal(journal.clone());
+    ts.set_progress(flags.progress);
+    ts.enable_phase_stats(flags.phase_stats);
+    ts.set_tracer(tracer.clone());
+    let t_all = Instant::now();
+    let results = table.run(&mut ts, &kinds);
+    let table_s = t_all.elapsed().as_secs_f64();
+    let loads = ts.load_times().to_vec();
+    let replay_s = table_s - loads.iter().map(|(_, s)| s).sum::<f64>();
+    eprintln!("reproduce: point table done in {table_s:.1}s");
+
+    // Each simulated point's phase rollup goes to the figure that owns
+    // its label (the first to request it), so every rollup appears once.
+    let mut owner_of = HashMap::new();
+    for (i, spec) in table.specs().iter().enumerate() {
+        for &kind in &kinds {
+            owner_of.insert(SweepPoint::new(spec.clone(), kind).label, table.owner(i));
+        }
+    }
+    let mut rollups: Vec<Vec<(String, PhaseCounters)>> = vec![Vec::new(); figures.len()];
+    let mut taken = ts.take_phase_rollups();
+    // Rollups accumulate in completion order; sort by point label so
+    // timings.json is stable across worker counts.
+    taken.sort_by(|a, b| a.0.cmp(&b.0));
+    for (label, counters) in taken {
+        if let Some(&fig) = owner_of.get(&label) {
+            rollups[fig].push((label, counters));
         }
     }
 
-    // Per-figure timing entry: name, wall seconds, per-point rollups.
-    type FigureTiming = (String, f64, Vec<(String, PhaseCounters)>);
     let mut exported: Vec<Json> = Vec::new();
-    let mut timings: Vec<FigureTiming> = Vec::new();
     let mut failures: Vec<(String, DsmError)> = Vec::new();
-    let t_all = std::time::Instant::now();
-    for (key, name, runner) in figures {
-        if flags
-            .figures
-            .as_ref()
-            .is_some_and(|wanted| !wanted.iter().any(|w| w == key))
-        {
-            continue;
-        }
-        eprintln!("reproduce: running {name} ...");
-        let t0 = std::time::Instant::now();
-        if let Some(j) = &journal {
-            j.set_scope(key);
-        }
-        // A fresh trace set per figure keeps peak memory to one trace.
-        let mut ts = TraceSet::from_args(&flags.run);
-        ts.set_journal(journal.clone());
-        ts.set_progress(flags.progress);
-        ts.enable_phase_stats(flags.phase_stats);
-        ts.set_tracer(tracer.clone());
+    let t_project = Instant::now();
+    for (fig, fig_specs) in figures.iter().zip(&specs) {
+        let name = fig.name;
         let fig_span = tracer.as_deref().map(|t| {
             let lane = t.lane("main");
             t.span(lane, format!("figure: {name}"))
         });
-        let table = match runner(&mut ts, &kinds) {
-            Ok(t) => t,
+        let grid = match table.project(&results, fig_specs) {
+            Ok(grid) => grid,
             Err(e) => {
-                drop(fig_span);
                 eprintln!("reproduce: {name} FAILED");
                 failures.push((name.to_owned(), e));
                 continue;
             }
         };
-        drop(fig_span);
-        let wall_s = t0.elapsed().as_secs_f64();
-        eprintln!("reproduce: {name} done in {wall_s:.1}s");
-        // Rollups accumulate in completion order; sort by point label so
-        // timings.json is stable across worker counts.
-        let mut rollups = ts.take_phase_rollups();
-        rollups.sort_by(|a, b| a.0.cmp(&b.0));
-        timings.push((name.to_owned(), wall_s, rollups));
+        let fig_table = (fig.table)(&grid);
         if flags.markdown {
-            println!("## {}\n\n{}", table.caption, table.render_markdown());
+            println!(
+                "## {}\n\n{}",
+                fig_table.caption,
+                fig_table.render_markdown()
+            );
         } else {
-            println!("{}", table.render());
+            println!("{}", fig_table.render());
         }
         if flags.out.is_some() {
-            exported.push(table.to_json().set("figure", name));
+            exported.push(fig_table.to_json().set("figure", name));
         }
+        drop(fig_span);
     }
-    let total_s = t_all.elapsed().as_secs_f64();
+    let project_s = t_project.elapsed().as_secs_f64();
     // Losing crash-safety must not be silent: points whose journal
     // entries were dropped by the sticky disable cannot be resumed.
     let journal_disabled_points = journal.as_ref().map_or(0, |j| j.disabled_points());
@@ -450,9 +463,13 @@ fn run_figures(flags: &Flags) -> Result<(), DsmError> {
         let (name, first) = failures.swap_remove(0);
         return Err(first.context(format!("figure {name}")));
     }
-    eprintln!("reproduce: all figures done in {total_s:.1}s");
+    eprintln!(
+        "reproduce: all figures done in {:.1}s",
+        t_all.elapsed().as_secs_f64()
+    );
 
     if let Some(out) = &flags.out {
+        let t_write = Instant::now();
         std::fs::create_dir_all(out)
             .map_err(|e| DsmError::bad_input(format!("cannot create {}: {e}", out.display())))?;
         // The dataset: everything *but* wall clock, so any two runs at
@@ -463,32 +480,50 @@ fn run_figures(flags: &Flags) -> Result<(), DsmError> {
             .set("figures", exported);
         write_json_atomic(&path, &json)?;
         eprintln!("reproduce: wrote {}", path.display());
-        // The timings, separately, so the sweep-engine speedup is
-        // visible in results/ without polluting the diffable dataset.
+        let write_s = t_write.elapsed().as_secs_f64();
+        // The timings, separately, so where the time went is visible in
+        // results/ without polluting the diffable dataset.
         let t_path = out.join("timings.json");
-        let figures_json: Vec<Json> = timings
-            .into_iter()
-            .map(|(name, wall_s, rollups)| {
-                let mut fig = Json::obj().set("figure", name).set("wall_s", wall_s);
-                if flags.phase_stats {
-                    let phases: Vec<Json> = rollups
-                        .into_iter()
-                        .map(|(label, counters)| {
-                            Json::obj()
-                                .set("point", label)
-                                .set("counters", counters.to_json())
-                        })
-                        .collect();
-                    fig = fig.set("phases", phases);
+        let generation: Vec<Json> = loads
+            .iter()
+            .map(|(kind, s)| {
+                Json::obj()
+                    .set("workload", kind.display_name())
+                    .set("wall_s", *s)
+            })
+            .collect();
+        let stages = Json::obj()
+            .set("trace_generation", generation)
+            .set("replay_s", replay_s)
+            .set("project_render_s", project_s)
+            .set("write_s", write_s);
+        let figures_json: Vec<Json> = figures
+            .iter()
+            .zip(rollups)
+            .map(|(fig, rollups)| {
+                let fig_json = Json::obj().set("figure", fig.name);
+                if !flags.phase_stats {
+                    return fig_json;
                 }
-                fig
+                let phases: Vec<Json> = rollups
+                    .into_iter()
+                    .map(|(label, counters)| {
+                        Json::obj()
+                            .set("point", label)
+                            .set("counters", counters.to_json())
+                    })
+                    .collect();
+                fig_json.set("phases", phases)
             })
             .collect();
         let t_json = Json::obj()
             .set("scale", scale.factor())
             .set("jobs", jobs.get())
-            .set("total_wall_s", total_s)
+            .set("total_wall_s", t_all.elapsed().as_secs_f64())
             .set("journal_disabled_points", journal_disabled_points)
+            .set("points_plotted", table.plotted() * kinds.len())
+            .set("points_simulated", table.simulated() * kinds.len())
+            .set("stages", stages)
             .set("figures", figures_json);
         write_json_atomic(&t_path, &t_json)?;
         eprintln!("reproduce: wrote {}", t_path.display());

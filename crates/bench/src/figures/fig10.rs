@@ -2,23 +2,33 @@
 //! write-backs crossing the network), normalized to an infinite NC, for
 //! the same systems as Figure 9.
 
-use dsm_core::Report;
+use dsm_core::{Report, SystemSpec};
 use dsm_trace::WorkloadKind;
 use dsm_types::DsmError;
 
 use crate::figures::fig9::{self, StallMetric};
-use crate::harness::{normalized_table, run_grid, FigureTable, TraceSet};
+use crate::harness::{normalized_table, run_grid, FigureTable, GridRow, TraceSet};
+
+/// Figure 9's systems: Figure 10 plots another metric of the same grid.
+#[must_use]
+pub fn specs() -> Vec<SystemSpec> {
+    fig9::specs()
+}
+
+/// Figure 10 from a grid of [`specs`] reports.
+#[must_use]
+pub fn table(grid: &[GridRow]) -> FigureTable {
+    normalized_table(
+        "Figure 10: remote data traffic, normalized to an infinite NC",
+        grid,
+        fig9::columns(),
+        Report::traffic_metric,
+    )
+}
 
 /// Runs Figure 10 over `kinds`.
 pub fn run(ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
-    let specs = fig9::specs();
-    let grid = run_grid(ts, &specs, kinds)?;
-    Ok(normalized_table(
-        "Figure 10: remote data traffic, normalized to an infinite NC",
-        &grid,
-        fig9::columns(),
-        Report::traffic_metric,
-    ))
+    Ok(table(&run_grid(ts, &specs(), kinds)?))
 }
 
 #[cfg(test)]

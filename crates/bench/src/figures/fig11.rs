@@ -8,7 +8,7 @@ use dsm_trace::WorkloadKind;
 use dsm_types::DsmError;
 
 use crate::figures::fig9::StallMetric;
-use crate::harness::{normalized_table, run_grid, FigureTable, TraceSet};
+use crate::harness::{names, normalized_table, run_grid, FigureTable, GridRow, TraceSet};
 
 /// The systems of Figure 11, baseline first.
 #[must_use]
@@ -21,17 +21,20 @@ pub fn specs() -> Vec<SystemSpec> {
     ]
 }
 
+/// Figure 11 from a grid of [`specs`] reports.
+#[must_use]
+pub fn table(grid: &[GridRow]) -> FigureTable {
+    normalized_table(
+        "Figure 11: remote read stalls, directory counters (ncp5) vs victim-set counters (vxp5), normalized",
+        grid,
+        names(&specs()[1..]),
+        Report::stall_metric,
+    )
+}
+
 /// Runs Figure 11 over `kinds`.
 pub fn run(ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
-    let specs = specs();
-    let columns = specs.iter().skip(1).map(|s| s.name.clone()).collect();
-    let grid = run_grid(ts, &specs, kinds)?;
-    Ok(normalized_table(
-        "Figure 11: remote read stalls, directory counters (ncp5) vs victim-set counters (vxp5), normalized",
-        &grid,
-        columns,
-        Report::stall_metric,
-    ))
+    Ok(table(&run_grid(ts, &specs(), kinds)?))
 }
 
 #[cfg(test)]

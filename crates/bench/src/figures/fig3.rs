@@ -6,7 +6,7 @@ use dsm_core::SystemSpec;
 use dsm_trace::WorkloadKind;
 use dsm_types::DsmError;
 
-use crate::harness::{miss_ratio_table, run_grid, FigureTable, TraceSet};
+use crate::harness::{miss_ratio_table, names, run_grid, FigureTable, GridRow, TraceSet};
 
 /// The nine configurations of Figure 3, in the paper's bar order.
 #[must_use]
@@ -27,17 +27,20 @@ pub fn specs() -> Vec<SystemSpec> {
     out
 }
 
+/// Figure 3 from a grid of [`specs`] reports.
+#[must_use]
+pub fn table(grid: &[GridRow]) -> FigureTable {
+    miss_ratio_table(
+        "Figure 3: cluster miss ratio (%) vs cache associativity x victim-NC size",
+        grid,
+        names(&specs()),
+        false,
+    )
+}
+
 /// Runs Figure 3 over `kinds`.
 pub fn run(ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
-    let specs = specs();
-    let columns = specs.iter().map(|s| s.name.clone()).collect();
-    let grid = run_grid(ts, &specs, kinds)?;
-    Ok(miss_ratio_table(
-        "Figure 3: cluster miss ratio (%) vs cache associativity x victim-NC size",
-        &grid,
-        columns,
-        false,
-    ))
+    Ok(table(&run_grid(ts, &specs(), kinds)?))
 }
 
 #[cfg(test)]

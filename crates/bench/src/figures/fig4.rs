@@ -5,18 +5,28 @@ use dsm_core::SystemSpec;
 use dsm_trace::WorkloadKind;
 use dsm_types::DsmError;
 
-use crate::harness::{miss_ratio_table, run_grid, FigureTable, TraceSet};
+use crate::harness::{miss_ratio_table, run_grid, FigureTable, GridRow, TraceSet};
+
+/// The two 16-KB NCs of Figure 4: inclusion, then victim.
+#[must_use]
+pub fn specs() -> Vec<SystemSpec> {
+    vec![SystemSpec::nc(), SystemSpec::vb()]
+}
+
+/// Figure 4 from a grid of [`specs`] reports.
+#[must_use]
+pub fn table(grid: &[GridRow]) -> FigureTable {
+    miss_ratio_table(
+        "Figure 4: cluster miss ratio (%), inclusion NC (nc) vs victim NC (vb), 16 KB",
+        grid,
+        vec!["nc".into(), "vb".into()],
+        false,
+    )
+}
 
 /// Runs Figure 4 over `kinds`.
 pub fn run(ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
-    let specs = [SystemSpec::nc(), SystemSpec::vb()];
-    let grid = run_grid(ts, &specs, kinds)?;
-    Ok(miss_ratio_table(
-        "Figure 4: cluster miss ratio (%), inclusion NC (nc) vs victim NC (vb), 16 KB",
-        &grid,
-        vec!["nc".into(), "vb".into()],
-        false,
-    ))
+    Ok(table(&run_grid(ts, &specs(), kinds)?))
 }
 
 #[cfg(test)]

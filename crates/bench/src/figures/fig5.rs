@@ -5,18 +5,28 @@ use dsm_core::SystemSpec;
 use dsm_trace::WorkloadKind;
 use dsm_types::DsmError;
 
-use crate::harness::{miss_ratio_table, run_grid, FigureTable, TraceSet};
+use crate::harness::{miss_ratio_table, run_grid, FigureTable, GridRow, TraceSet};
+
+/// The two victim-NC indexings of Figure 5: block, then page.
+#[must_use]
+pub fn specs() -> Vec<SystemSpec> {
+    vec![SystemSpec::vb(), SystemSpec::vp()]
+}
+
+/// Figure 5 from a grid of [`specs`] reports.
+#[must_use]
+pub fn table(grid: &[GridRow]) -> FigureTable {
+    miss_ratio_table(
+        "Figure 5: cluster miss ratio (%), block-indexed (vb) vs page-indexed (vp) victim NC",
+        grid,
+        vec!["vb".into(), "vp".into()],
+        false,
+    )
+}
 
 /// Runs Figure 5 over `kinds`.
 pub fn run(ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
-    let specs = [SystemSpec::vb(), SystemSpec::vp()];
-    let grid = run_grid(ts, &specs, kinds)?;
-    Ok(miss_ratio_table(
-        "Figure 5: cluster miss ratio (%), block-indexed (vb) vs page-indexed (vp) victim NC",
-        &grid,
-        vec!["vb".into(), "vp".into()],
-        false,
-    ))
+    Ok(table(&run_grid(ts, &specs(), kinds)?))
 }
 
 #[cfg(test)]

@@ -6,38 +6,68 @@ use dsm_core::{PcSize, SystemSpec, ThresholdPolicy};
 use dsm_trace::WorkloadKind;
 use dsm_types::DsmError;
 
-use crate::harness::{miss_ratio_table, run_grid, FigureTable, TraceSet};
+use crate::harness::{miss_ratio_table, run_grid, FigureTable, GridRow, TraceSet};
 
-/// Runs Figure 6 over `kinds`. Values include the relocation overhead in
-/// equivalent misses (the paper's bar tops).
+/// The page cache of Figure 6: 1/5 of the data set.
+const DENOM: u32 = 5;
+/// The supplementary tight page cache: 1/16 of the data set, where our
+/// synthetic traces actually thrash — the paper notes "with smaller page
+/// caches, thrashing occurs in other applications as well".
+const TIGHT_DENOM: u32 = 16;
+
+/// Figure 6's two threshold policies on `ncp5`: fixed(32), then adaptive.
+#[must_use]
+pub fn specs() -> Vec<SystemSpec> {
+    specs_at(DENOM)
+}
+
+/// Figure 6 from a grid of [`specs`] reports. Values include the
+/// relocation overhead in equivalent misses (the paper's bar tops).
+#[must_use]
+pub fn table(grid: &[GridRow]) -> FigureTable {
+    table_at(grid, DENOM)
+}
+
+/// Runs Figure 6 over `kinds`.
 pub fn run(ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
-    run_at(ts, kinds, 5)
+    Ok(table(&run_grid(ts, &specs(), kinds)?))
 }
 
-/// The same comparison with a deliberately tight page cache
-/// (1/16 of the data set), where our synthetic traces actually thrash —
-/// the paper notes "with smaller page caches, thrashing occurs in other
-/// applications as well".
+/// [`specs`] with the tight (1/16) page cache.
+#[must_use]
+pub fn specs_tight() -> Vec<SystemSpec> {
+    specs_at(TIGHT_DENOM)
+}
+
+/// [`table`] with the tight (1/16) page cache.
+#[must_use]
+pub fn table_tight(grid: &[GridRow]) -> FigureTable {
+    table_at(grid, TIGHT_DENOM)
+}
+
+/// Runs the tight-page-cache comparison over `kinds`.
 pub fn run_tight(ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
-    run_at(ts, kinds, 16)
+    Ok(table_tight(&run_grid(ts, &specs_tight(), kinds)?))
 }
 
-fn run_at(ts: &mut TraceSet, kinds: &[WorkloadKind], denom: u32) -> Result<FigureTable, DsmError> {
+fn specs_at(denom: u32) -> Vec<SystemSpec> {
     let mut fixed =
         SystemSpec::ncp(PcSize::DataFraction(denom)).with_threshold(ThresholdPolicy::Fixed(32));
     fixed.name = format!("ncp{denom}-fixed32");
     let mut adaptive = SystemSpec::ncp(PcSize::DataFraction(denom));
     adaptive.name = format!("ncp{denom}-adaptive");
-    let specs = [fixed, adaptive];
-    let grid = run_grid(ts, &specs, kinds)?;
-    Ok(miss_ratio_table(
+    vec![fixed, adaptive]
+}
+
+fn table_at(grid: &[GridRow], denom: u32) -> FigureTable {
+    miss_ratio_table(
         &format!(
             "Figure 6: cluster miss ratio + relocation overhead (%), fixed(32) vs adaptive threshold, ncp{denom}"
         ),
-        &grid,
+        grid,
         vec!["fixed32".into(), "adaptive".into()],
         true,
-    ))
+    )
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@ use dsm_core::{CounterSource, PcSize, PcSpec, SystemSpec, ThresholdPolicy};
 use dsm_trace::WorkloadKind;
 use dsm_types::DsmError;
 
-use crate::harness::{miss_ratio_table, run_grid, FigureTable, TraceSet};
+use crate::harness::{miss_ratio_table, names, run_grid, FigureTable, GridRow, TraceSet};
 
 fn pc_only(size: PcSize, suffix: &str) -> SystemSpec {
     SystemSpec {
@@ -49,17 +49,21 @@ pub fn specs() -> Vec<SystemSpec> {
     out
 }
 
-/// Runs Figure 7 over `kinds`; values fold in relocation overhead.
-pub fn run(ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
-    let specs = specs();
-    let columns = specs.iter().map(|s| s.name.clone()).collect();
-    let grid = run_grid(ts, &specs, kinds)?;
-    Ok(miss_ratio_table(
+/// Figure 7 from a grid of [`specs`] reports; values fold in relocation
+/// overhead.
+#[must_use]
+pub fn table(grid: &[GridRow]) -> FigureTable {
+    miss_ratio_table(
         "Figure 7: cluster miss ratio + relocation overhead (%), page-cache size sweep",
-        &grid,
-        columns,
+        grid,
+        names(&specs()),
         true,
-    ))
+    )
+}
+
+/// Runs Figure 7 over `kinds`.
+pub fn run(ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
+    Ok(table(&run_grid(ts, &specs(), kinds)?))
 }
 
 #[cfg(test)]

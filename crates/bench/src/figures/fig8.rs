@@ -6,21 +6,32 @@ use dsm_core::{PcSize, SystemSpec};
 use dsm_trace::WorkloadKind;
 use dsm_types::DsmError;
 
-use crate::harness::{miss_ratio_table, run_grid, FigureTable, TraceSet};
+use crate::harness::{miss_ratio_table, run_grid, FigureTable, GridRow, TraceSet};
 
-/// Runs Figure 8 over `kinds`; values fold in relocation overhead.
-pub fn run(ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
-    let specs = [
+/// The two indexings of Figure 8 under a 1/5 page cache: `vbp5`, `vpp5`.
+#[must_use]
+pub fn specs() -> Vec<SystemSpec> {
+    vec![
         SystemSpec::vbp(PcSize::DataFraction(5)),
         SystemSpec::vpp(PcSize::DataFraction(5)),
-    ];
-    let grid = run_grid(ts, &specs, kinds)?;
-    Ok(miss_ratio_table(
+    ]
+}
+
+/// Figure 8 from a grid of [`specs`] reports; values fold in relocation
+/// overhead.
+#[must_use]
+pub fn table(grid: &[GridRow]) -> FigureTable {
+    miss_ratio_table(
         "Figure 8: cluster miss ratio + relocation overhead (%), vbp5 vs vpp5",
-        &grid,
+        grid,
         vec!["vbp5".into(), "vpp5".into()],
         true,
-    ))
+    )
+}
+
+/// Runs Figure 8 over `kinds`.
+pub fn run(ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
+    Ok(table(&run_grid(ts, &specs(), kinds)?))
 }
 
 #[cfg(test)]

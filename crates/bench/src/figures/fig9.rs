@@ -7,7 +7,7 @@ use dsm_core::{PcSize, Report, SystemSpec};
 use dsm_trace::WorkloadKind;
 use dsm_types::DsmError;
 
-use crate::harness::{normalized_table, run_grid, FigureTable, TraceSet};
+use crate::harness::{names, normalized_table, run_grid, FigureTable, GridRow, TraceSet};
 
 /// The systems of Figure 9, baseline (infinite DRAM NC) first.
 #[must_use]
@@ -29,19 +29,23 @@ pub fn specs() -> Vec<SystemSpec> {
 /// Column labels (excluding the normalization baseline).
 #[must_use]
 pub fn columns() -> Vec<String> {
-    specs().iter().skip(1).map(|s| s.name.clone()).collect()
+    names(&specs()[1..])
+}
+
+/// Figure 9 from a grid of [`specs`] reports.
+#[must_use]
+pub fn table(grid: &[GridRow]) -> FigureTable {
+    normalized_table(
+        "Figure 9: remote read stalls, normalized to an infinite DRAM NC",
+        grid,
+        columns(),
+        Report::stall_metric,
+    )
 }
 
 /// Runs Figure 9 over `kinds`.
 pub fn run(ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
-    let specs = specs();
-    let grid = run_grid(ts, &specs, kinds)?;
-    Ok(normalized_table(
-        "Figure 9: remote read stalls, normalized to an infinite DRAM NC",
-        &grid,
-        columns(),
-        Report::stall_metric,
-    ))
+    Ok(table(&run_grid(ts, &specs(), kinds)?))
 }
 
 /// Extraction helper shared with Figures 10-11.

@@ -1,8 +1,12 @@
 //! One module per paper figure/table.
 //!
-//! Every module exposes `run(ts, kinds)` returning one or more
-//! [`crate::FigureTable`]s with the same rows/series the paper plots, and
-//! every module has a same-named binary. Figure numbers follow the paper:
+//! Every figure module exposes `specs()`, the systems it plots in column
+//! order, and `table(grid)`, a pure projection of a grid of their reports
+//! into a [`crate::FigureTable`] with the same rows/series the paper
+//! plots. Its `run(ts, kinds)` is `table(&run_grid(ts, &specs(),
+//! kinds)?)`, for the same-named binary and the tests; `reproduce`
+//! instead projects every figure in [`FIGURES`] from one
+//! [`crate::points::PointTable`]. Figure numbers follow the paper:
 //!
 //! * [`tables`] — Tables 1 (latency components), 2 (event latencies),
 //!   3 (benchmark characteristics);
@@ -30,7 +34,94 @@ pub mod fig9;
 pub mod origin;
 pub mod tables;
 
+use dsm_core::SystemSpec;
 use dsm_trace::WorkloadKind;
+
+use crate::harness::{FigureTable, GridRow};
+
+/// One figure of the reproduction: the systems it plots and its
+/// projection.
+#[derive(Debug, Clone, Copy)]
+pub struct Figure {
+    /// The `reproduce --figures` key.
+    pub key: &'static str,
+    /// The name in the dataset and the logs.
+    pub name: &'static str,
+    /// The systems it plots, in column order.
+    pub specs: fn() -> Vec<SystemSpec>,
+    /// Its table, from a grid of `specs()` reports.
+    pub table: fn(&[GridRow]) -> FigureTable,
+}
+
+/// Every figure `reproduce` runs, in order.
+pub const FIGURES: [Figure; 11] = [
+    Figure {
+        key: "fig3",
+        name: "fig3",
+        specs: fig3::specs,
+        table: fig3::table,
+    },
+    Figure {
+        key: "fig4",
+        name: "fig4",
+        specs: fig4::specs,
+        table: fig4::table,
+    },
+    Figure {
+        key: "fig5",
+        name: "fig5",
+        specs: fig5::specs,
+        table: fig5::table,
+    },
+    Figure {
+        key: "fig6",
+        name: "fig6",
+        specs: fig6::specs,
+        table: fig6::table,
+    },
+    Figure {
+        key: "fig6-tight",
+        name: "fig6-tight (supplementary)",
+        specs: fig6::specs_tight,
+        table: fig6::table_tight,
+    },
+    Figure {
+        key: "fig7",
+        name: "fig7",
+        specs: fig7::specs,
+        table: fig7::table,
+    },
+    Figure {
+        key: "fig8",
+        name: "fig8",
+        specs: fig8::specs,
+        table: fig8::table,
+    },
+    Figure {
+        key: "fig9",
+        name: "fig9",
+        specs: fig9::specs,
+        table: fig9::table,
+    },
+    Figure {
+        key: "fig10",
+        name: "fig10",
+        specs: fig10::specs,
+        table: fig10::table,
+    },
+    Figure {
+        key: "fig11",
+        name: "fig11",
+        specs: fig11::specs,
+        table: fig11::table,
+    },
+    Figure {
+        key: "origin",
+        name: "origin (supplementary)",
+        specs: origin::specs,
+        table: origin::table,
+    },
+];
 
 /// The paper's eight benchmarks, in its order.
 #[must_use]

@@ -14,7 +14,7 @@ use dsm_trace::WorkloadKind;
 use dsm_types::DsmError;
 
 use crate::figures::fig9::StallMetric;
-use crate::harness::{normalized_table, run_grid, FigureTable, TraceSet};
+use crate::harness::{names, normalized_table, run_grid, FigureTable, GridRow, TraceSet};
 
 /// The systems of the Origin experiment, baseline first.
 #[must_use]
@@ -29,17 +29,20 @@ pub fn specs() -> Vec<SystemSpec> {
     ]
 }
 
+/// The Origin comparison from a grid of [`specs`] reports.
+#[must_use]
+pub fn table(grid: &[GridRow]) -> FigureTable {
+    normalized_table(
+        "Supplementary: Origin-style migration/replication vs network caches, normalized remote read stall",
+        grid,
+        names(&specs()[1..]),
+        Report::stall_metric,
+    )
+}
+
 /// Runs the Origin comparison over `kinds`.
 pub fn run(ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
-    let specs = specs();
-    let columns = specs.iter().skip(1).map(|s| s.name.clone()).collect();
-    let grid = run_grid(ts, &specs, kinds)?;
-    Ok(normalized_table(
-        "Supplementary: Origin-style migration/replication vs network caches, normalized remote read stall",
-        &grid,
-        columns,
-        Report::stall_metric,
-    ))
+    Ok(table(&run_grid(ts, &specs(), kinds)?))
 }
 
 #[cfg(test)]

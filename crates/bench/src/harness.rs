@@ -12,7 +12,7 @@ use dsm_trace::{open_shared_mapped, write_shared, Scale, SharedTrace, WorkloadKi
 use dsm_types::{DsmError, Geometry, Topology};
 
 use crate::journal::SweepJournal;
-use crate::sweep::{run_sweep, Jobs, SweepPoint};
+use crate::sweep::{run_sweep, Jobs, SweepOutcome, SweepPoint};
 
 /// The flags every figure binary accepts — one usage text shared by all
 /// of them (and embedded in `reproduce`'s extended usage).
@@ -284,6 +284,8 @@ pub struct TraceSet {
     /// Completed `(point label, counters)` rollups, appended by sweep
     /// workers under the mutex and drained by [`TraceSet::take_phase_rollups`].
     phase_rollups: Mutex<Vec<(String, PhaseCounters)>>,
+    /// Wall seconds each [`TraceSet::prepare`] spent generating a trace.
+    load_times: Vec<(WorkloadKind, f64)>,
 }
 
 impl TraceSet {
@@ -321,6 +323,7 @@ impl TraceSet {
             phase_stats: false,
             tracer: None,
             phase_rollups: Mutex::new(Vec::new()),
+            load_times: Vec::new(),
         }
     }
 
@@ -461,6 +464,7 @@ impl TraceSet {
     /// any number of threads.
     pub fn prepare(&mut self, kind: WorkloadKind) {
         if !self.traces.contains_key(&kind) {
+            let t0 = std::time::Instant::now();
             let mut span = self.tracer.as_deref().map(|t| {
                 let lane = t.lane("main");
                 t.span(lane, format!("trace load: {kind}"))
@@ -475,7 +479,16 @@ impl TraceSet {
                 trace = spill_and_map(kind, &trace);
             }
             self.traces.insert(kind, (w.shared_bytes(), trace));
+            self.load_times.push((kind, t0.elapsed().as_secs_f64()));
         }
+    }
+
+    /// Every trace generation so far: the workload and its wall seconds,
+    /// in order (a workload appears again if it was evicted and
+    /// regenerated).
+    #[must_use]
+    pub fn load_times(&self) -> &[(WorkloadKind, f64)] {
+        &self.load_times
     }
 
     /// Runs `spec` on `kind`'s cached trace.
@@ -713,39 +726,65 @@ impl FigureTable {
     }
 }
 
-/// Runs each spec on each workload (sharing traces) and returns
-/// `(workload, reports-in-spec-order)` rows.
+/// One workload's reports, one per spec in the figure's column order.
+pub type GridRow = (WorkloadKind, Vec<Report>);
+
+/// A figure's input: one row per workload.
+pub type Grid = Vec<GridRow>;
+
+/// The specs' names, in order (a figure's column labels).
+#[must_use]
+pub fn names(specs: &[SystemSpec]) -> Vec<String> {
+    specs.iter().map(|s| s.name.clone()).collect()
+}
+
+/// Runs each spec on each workload (sharing traces) and returns one row
+/// of outcomes per workload, in spec order.
 ///
 /// Each workload's points are enumerated as [`SweepPoint`]s and executed
 /// through the parallel sweep engine on [`TraceSet::jobs`] workers — one
-/// workload at a time, so peak memory stays at a single trace while all
-/// configurations of that workload run concurrently over it. Row order
-/// (and therefore every table and JSON export) is identical to the serial
-/// run by the engine's submission-order guarantee.
-///
-/// # Errors
-///
-/// The whole grid is always attempted (a failed point never aborts the
-/// remaining points — they keep running, and keep journaling if a
-/// journal is attached). If any point failed, returns a [`DsmError`]
-/// whose message lists every failure with its one-line `simulate`
-/// repro invocation.
-pub fn run_grid(
+/// workload at a time: its trace is generated, swept and dropped before
+/// the next, so peak memory stays at a single trace while all
+/// configurations of that workload run concurrently over it. Row order is
+/// identical to the serial run by the engine's submission-order
+/// guarantee. A failed point never aborts the remaining points — they
+/// keep running, and keep journaling if a journal is attached.
+pub fn sweep_grid(
     ts: &mut TraceSet,
     specs: &[SystemSpec],
     kinds: &[WorkloadKind],
-) -> Result<Vec<(WorkloadKind, Vec<Report>)>, DsmError> {
+) -> Vec<(WorkloadKind, Vec<SweepOutcome>)> {
     // Sweep-level and replay-level parallelism share one thread budget.
     let jobs = ts.effective_jobs();
-    let mut rows = Vec::new();
+    kinds
+        .iter()
+        .map(|&kind| {
+            let points: Vec<SweepPoint> = specs
+                .iter()
+                .map(|s| SweepPoint::new(s.clone(), kind))
+                .collect();
+            let outcomes = run_sweep(ts, &points, jobs);
+            ts.evict(kind);
+            (kind, outcomes)
+        })
+        .collect()
+}
+
+/// Splits sweep outcomes into a report grid.
+///
+/// # Errors
+///
+/// If any point failed, a [`DsmError`] whose message lists every
+/// failure with its one-line `simulate` repro invocation, noting the
+/// `journal_disabled` points that lost their journal entries (their
+/// retries will not be resumable).
+pub fn collect_grid(
+    rows: Vec<(WorkloadKind, Vec<SweepOutcome>)>,
+    journal_disabled: u64,
+) -> Result<Grid, DsmError> {
+    let mut grid = Vec::with_capacity(rows.len());
     let mut failures = Vec::new();
-    for &kind in kinds {
-        let points: Vec<SweepPoint> = specs
-            .iter()
-            .map(|s| SweepPoint::new(s.clone(), kind))
-            .collect();
-        let outcomes = run_sweep(ts, &points, jobs);
-        ts.evict(kind);
+    for (kind, outcomes) in rows {
         let mut reports = Vec::with_capacity(outcomes.len());
         for outcome in outcomes {
             match outcome.result {
@@ -753,25 +792,37 @@ pub fn run_grid(
                 Err(f) => failures.push(f),
             }
         }
-        rows.push((kind, reports));
+        grid.push((kind, reports));
     }
     if failures.is_empty() {
-        return Ok(rows);
+        return Ok(grid);
     }
     let mut msg = format!("{} sweep point(s) failed:", failures.len());
     for f in &failures {
         msg.push_str("\n  ");
         msg.push_str(&f.to_string());
     }
-    // A disabled journal compounds the damage — the failed points'
-    // retries won't be resumable — so the summary says so.
-    let disabled = ts.journal().map_or(0, |j| j.disabled_points());
-    if disabled > 0 {
+    if journal_disabled > 0 {
         msg.push_str(&format!(
-            "\n  (journaling was disabled mid-run; {disabled} point(s) were not journaled)"
+            "\n  (journaling was disabled mid-run; {journal_disabled} point(s) were not journaled)"
         ));
     }
     Err(DsmError::internal(msg))
+}
+
+/// [`sweep_grid`], as the grid of reports a figure projects.
+///
+/// # Errors
+///
+/// The whole grid is always attempted. If any point failed, returns the
+/// [`collect_grid`] error listing every failure.
+pub fn run_grid(
+    ts: &mut TraceSet,
+    specs: &[SystemSpec],
+    kinds: &[WorkloadKind],
+) -> Result<Grid, DsmError> {
+    let rows = sweep_grid(ts, specs, kinds);
+    collect_grid(rows, ts.journal().map_or(0, SweepJournal::disabled_points))
 }
 
 /// Builds a table of total cluster miss ratios (%) — the Figures 3-5/8
@@ -779,7 +830,7 @@ pub fn run_grid(
 /// folded in when `include_relocation` is set (Figures 6-8 bar tops).
 pub fn miss_ratio_table(
     caption: &str,
-    grid: &[(WorkloadKind, Vec<Report>)],
+    grid: &[GridRow],
     columns: Vec<String>,
     include_relocation: bool,
 ) -> FigureTable {
@@ -805,7 +856,7 @@ pub fn miss_ratio_table(
 /// NC), using `metric` to extract the value from each report.
 pub fn normalized_table(
     caption: &str,
-    grid: &[(WorkloadKind, Vec<Report>)],
+    grid: &[GridRow],
     columns: Vec<String>,
     metric: impl Fn(&Report) -> f64,
 ) -> FigureTable {
@@ -868,7 +919,13 @@ mod tests {
 
     #[test]
     fn parse_argv_accepts_shard_workers() {
-        let a = parse_argv(&argv(&["--shard-workers", "4"]), |_, _| Ok(0)).unwrap();
+        // --jobs 1 dedicates the whole thread budget to replay, so the
+        // result does not depend on the host's parallelism (the default
+        // --jobs).
+        let a = parse_argv(&argv(&["--jobs", "1", "--shard-workers", "4"]), |_, _| {
+            Ok(0)
+        })
+        .unwrap();
         assert_eq!(a.shard_workers, 4);
         let default = parse_argv(&argv(&[]), |_, _| Ok(0)).unwrap();
         assert_eq!(default.shard_workers, 1);

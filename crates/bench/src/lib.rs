@@ -1,10 +1,13 @@
 //! Experiment harnesses that regenerate every table and figure of the
 //! paper.
 //!
-//! Each figure has a module under [`figures`] exposing a `run` function
-//! returning printable rows, and a binary (`cargo run -p dsm-bench
-//! --release --bin fig3` etc.) that prints them. `--bin reproduce` runs
-//! everything and emits the data behind `EXPERIMENTS.md`.
+//! Each figure has a module under [`figures`] exposing the systems it
+//! plots (`specs`), a pure projection of their reports into printable
+//! rows (`table`), and a `run` that sweeps and projects; a binary (`cargo
+//! run -p dsm-bench --release --bin fig3` etc.) prints it. `--bin
+//! reproduce` runs everything through one [`points::PointTable`], which
+//! simulates each distinct (system, workload) point once, and emits the
+//! data behind `EXPERIMENTS.md`.
 //!
 //! Traces are generated **once per workload** and shared across all system
 //! configurations of a figure — the paper's methodology (every system sees
@@ -29,9 +32,11 @@
 pub mod figures;
 pub mod harness;
 pub mod journal;
+pub mod points;
 pub mod sweep;
 pub mod tinybench;
 
 pub use harness::{install_fault_plan, parse_run_args, FigureTable, RunArgs, TraceSet};
 pub use journal::SweepJournal;
+pub use points::{PointKey, PointTable};
 pub use sweep::{run_sweep, Jobs, PointFailure, SweepOutcome, SweepPoint};

@@ -341,9 +341,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// When the trace set carries a resumed journal, points the journal
 /// already recorded as successful are *not* re-run: their recorded
 /// reports come back immediately (in submission order like everything
-/// else), which is what makes a killed-and-resumed sweep merge to
-/// byte-identical output. Fresh results are appended to the journal,
-/// durably, before the outcome is returned.
+/// else, renamed to this point's spec), which is what makes a
+/// killed-and-resumed sweep merge to byte-identical output. The journal
+/// matches by simulation content, workload and scale, never by label.
+/// Fresh results are appended to the journal, durably, before the
+/// outcome is returned.
 ///
 /// Fault injection for the crash-safety tests: if `DSM_FAULT_POINT`
 /// names this point's label the point panics (exercising the captured-
@@ -355,7 +357,8 @@ fn run_point(
     progress: &Progress,
     lane: Option<Lane>,
 ) -> SweepOutcome {
-    if let Some(report) = ts.journal().and_then(|j| j.lookup(&point.label)) {
+    if let Some(mut report) = ts.journal().and_then(|j| j.lookup(point, ts.scale())) {
+        report.system.clone_from(&point.spec.name);
         progress.tick(&format!("{} restored from journal", point.label), None);
         return SweepOutcome {
             label: point.label.clone(),
@@ -403,8 +406,8 @@ fn run_point(
     drop(span);
     if let Some(journal) = ts.journal() {
         match &result {
-            Ok(report) => journal.record_ok(&point.label, report, wall_s),
-            Err(failure) => journal.record_failed(failure, wall_s),
+            Ok(report) => journal.record_ok(point, ts.scale(), report, wall_s),
+            Err(failure) => journal.record_failed(point, ts.scale(), failure, wall_s),
         }
     }
     SweepOutcome {

@@ -23,7 +23,7 @@ use crate::nc::NcIndexing;
 use dsm_types::{ConfigError, Geometry};
 
 /// Processor-cache geometry (per processor).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheSpec {
     /// Capacity in bytes (paper: 16 KB).
     pub bytes: u64,
@@ -41,7 +41,7 @@ impl Default for CacheSpec {
 }
 
 /// Network-cache configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NcSpec {
     /// No network cache.
     None,
@@ -81,7 +81,7 @@ pub enum NcSpec {
 }
 
 /// Serializable mirror of [`NcIndexing`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NcIndexingSpec {
     /// Block-address bits (`vb`).
     Block,
@@ -99,7 +99,7 @@ impl From<NcIndexingSpec> for NcIndexing {
 }
 
 /// Page-cache size, absolute or relative to the application data set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PcSize {
     /// Absolute bytes (the 512-KB comparisons of Figures 9-10).
     Bytes(u64),
@@ -138,7 +138,7 @@ impl PcSize {
 }
 
 /// Which counters trigger page relocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CounterSource {
     /// R-NUMA: per-page per-cluster capacity-miss counters at the
     /// directory.
@@ -149,7 +149,7 @@ pub enum CounterSource {
 }
 
 /// The relocation-threshold policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ThresholdPolicy {
     /// A fixed threshold (Figure 6's comparison point).
     Fixed(u32),
@@ -171,7 +171,7 @@ impl ThresholdPolicy {
 }
 
 /// Page-cache configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PcSpec {
     /// Capacity.
     pub size: PcSize,
@@ -188,7 +188,7 @@ pub struct PcSpec {
 }
 
 /// Inter-cluster directory organization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DirectorySpec {
     /// Full-map presence bits (the paper's base; required by R-NUMA's
     /// directory-controlled relocation counters).
@@ -205,7 +205,7 @@ pub enum DirectorySpec {
 /// OS-level page migration/replication (the SGI Origin approach the paper
 /// contrasts against: no network cache, "relying exclusively on page
 /// migration and replication").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MigRepSpec {
     /// Remote misses from one cluster to one page before the OS acts.
     pub threshold: u32,
@@ -226,7 +226,7 @@ impl Default for MigRepSpec {
 }
 
 /// A complete system configuration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SystemSpec {
     /// Display name (the paper's configuration label).
     pub name: String,

@@ -48,13 +48,15 @@ fi
 
 echo "== panic-free fallible-surface gate =="
 # Structured-error surfaces must not regress to unwrap()/expect(): the
-# trace codec, the sweep engine and its crash-safety journal, and every
-# binary report DsmError (exit codes 2 usage / 3 bad input / 4 internal)
-# instead of panicking. Test modules (below #[cfg(test)]) are exempt.
+# trace codec, the sweep engine with its point table and crash-safety
+# journal, and every binary report DsmError (exit codes 2 usage / 3 bad
+# input / 4 internal) instead of panicking. Test modules (below
+# #[cfg(test)]) are exempt.
 fallible=(
   crates/trace/src/codec.rs
   crates/bench/src/sweep.rs
   crates/bench/src/journal.rs
+  crates/bench/src/points.rs
 )
 while IFS= read -r f; do fallible+=("$f"); done < <(find crates -path '*/src/bin/*.rs' | sort)
 bad=0
