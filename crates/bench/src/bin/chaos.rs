@@ -1,7 +1,7 @@
 //! Chaos harness: sweeps deterministic fault-injection plans over the
-//! sharded replay runtime and asserts the supervised-recovery contract
+//! supervised I/O of the replay stack and asserts the recovery contract
 //! of `dsm_core::fault` — every plan must end in byte-identical output
-//! (absorbed or degraded-to-oracle) or a structured [`DsmError`] with a
+//! (the fault absorbed by a retry) or a structured [`DsmError`] with a
 //! documented exit code. Never a hang, a torn file, or silent drift.
 //!
 //! Usage:
@@ -12,28 +12,19 @@
 //!
 //! Two layers run:
 //!
-//! 1. **In-process scenarios** — a fixed directed matrix (every
-//!    [`FaultSite`], both shard engines) plus one [`FaultPlan::derive`]d
-//!    plan per `--seeds` entry (default `1..=8`) and, with `--sha`, one
-//!    plan derived from the commit hash so every CI run probes a fresh
-//!    coordinate. Shard-site plans replay a multi-component trace
-//!    (components engine) and a single-component trace (rounds engine)
-//!    at two workers and compare the merged machine state against the
-//!    single-threaded oracle field by field; I/O-site plans exercise
-//!    the sweep journal, `write_json_atomic`, and the mmap loader.
+//! 1. **In-process scenarios** — a fixed directed matrix covering every
+//!    [`FaultSite`] on both sides of the retry budget, plus one
+//!    [`FaultPlan::derive`]d plan per `--seeds` entry (default `1..=8`)
+//!    and, with `--sha`, one plan derived from the commit hash so every
+//!    CI run probes a fresh plan. Each plan exercises its site's
+//!    subsystem directly: the sweep journal, `write_json_atomic`, or the
+//!    mmap loader.
 //! 2. **End-to-end subprocess scenarios** (with `--reproduce` and
-//!    `--golden`) — `reproduce --workloads fft --shard-workers 2` runs
-//!    under `DSM_FAULT_PLAN` worker-panic and mailbox-stall plans (the
-//!    acceptance scenarios: supervised degradation must be visible in
-//!    the shard report and the dataset byte-identical to `ci/golden/`),
-//!    then under `--fault-seed` sweeps where any exit is legal as long
-//!    as it is 0-with-identical-bytes or a documented error code with
-//!    no torn dataset. A polling deadline converts a wedged child into
+//!    `--golden`) — `reproduce --workloads fft` runs under `--fault-seed`
+//!    plans, where any exit is legal as long as it is
+//!    0-with-identical-bytes or a documented error code with no torn
+//!    dataset. A polling deadline converts a wedged child into
 //!    [`DsmError::stalled`] (exit 4) instead of a hung CI job.
-//!
-//! Expected-panic noise: injected worker panics unwind through the
-//! default panic hook, so "injected worker panic at ..." backtrace
-//! lines on stderr are part of normal operation here.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -44,10 +35,10 @@ use std::time::{Duration, Instant};
 use dsm_bench::{SweepJournal, SweepPoint};
 use dsm_core::fault::{install, FaultPlan, FaultSite};
 use dsm_core::obs::{write_json_atomic, Json};
-use dsm_core::{Metrics, Report, ShardEngine, ShardTuning, System, SystemSpec};
+use dsm_core::{Metrics, Report, SystemSpec};
 use dsm_trace::rng::TraceRng;
 use dsm_trace::{codec, Scale, SharedTrace, WorkloadKind};
-use dsm_types::{Addr, ClusterId, DsmError, Geometry, MemRef, ProcId, Topology};
+use dsm_types::{Addr, DsmError, Geometry, MemRef, ProcId, Topology};
 
 const USAGE: &str = "chaos [--seeds <n,n,...>] [--sha <hex>] [--reproduce <path>] [--golden <dir>]";
 
@@ -55,9 +46,9 @@ const USAGE: &str = "chaos [--seeds <n,n,...>] [--sha <hex>] [--reproduce <path>
 /// documented in the CI job so failures reproduce locally verbatim.
 const DEFAULT_SEEDS: [u64; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 
-/// Wall-clock ceiling per `reproduce` child. A healthy degraded run is
-/// tens of seconds at scale 0.05; a child that outlives this is wedged
-/// and becomes a structured `stalled` error instead of a hung job.
+/// Wall-clock ceiling per `reproduce` child. A healthy run takes seconds
+/// at scale 0.05; a child that outlives this is wedged and becomes a
+/// structured `stalled` error instead of a hung job.
 const CHILD_DEADLINE: Duration = Duration::from_secs(480);
 
 /// How many of the sweep seeds also run end-to-end (each costs a full
@@ -124,28 +115,21 @@ fn parse_args() -> Result<Args, DsmError> {
     Ok(args)
 }
 
-/// Small machine for the in-process scenarios: 4 clusters x 2 procs —
-/// enough for real inter-cluster coherence, fast enough to replay a few
-/// dozen times per chaos run.
+/// Small machine for the mmap scenario's trace file: 4 clusters x 2
+/// procs.
 fn topo() -> Result<Topology, DsmError> {
     Topology::new(4, 2).map_err(|e| DsmError::internal(format!("chaos topology: {e}")))
 }
 
-/// A conflict-heavy random trace whose clusters split into `groups`
-/// disjoint sharing components (cluster c belongs to group c % groups,
-/// each group owns a private 1 MiB window). `groups == 1` shares one
-/// window machine-wide, forcing the rounds engine; `groups >= 2` gives
-/// the components engine real shards.
-fn chaos_trace(seed: u64, refs: usize, groups: u64) -> Result<SharedTrace, DsmError> {
+/// A random trace over one 64 KiB window shared machine-wide.
+fn chaos_trace(seed: u64, refs: usize) -> Result<SharedTrace, DsmError> {
     let topo = topo()?;
     let geo = Geometry::paper_default();
-    let per_cluster = u64::from(topo.procs_per_cluster());
     let mut rng = TraceRng::for_workload("chaos", seed);
     let mut out = Vec::with_capacity(refs);
     for _ in 0..refs {
         let proc = rng.below(u64::from(topo.total_procs()));
-        let group = (proc / per_cluster) % groups;
-        let addr = Addr(group * (1 << 20) + (rng.below(1 << 16) & !3));
+        let addr = Addr(rng.below(1 << 16) & !3);
         let r = if rng.chance(0.3) {
             MemRef::write(ProcId(proc as u16), addr)
         } else {
@@ -154,78 +138,6 @@ fn chaos_trace(seed: u64, refs: usize, groups: u64) -> Result<SharedTrace, DsmEr
         out.push(r);
     }
     Ok(SharedTrace::from_refs(topo, geo, &out))
-}
-
-/// Aggressive tuning so a few thousand references still produce many
-/// chunks, several rounds, and a watchdog that trips in milliseconds.
-fn chaos_tuning() -> ShardTuning {
-    ShardTuning {
-        chunk_refs: 64,
-        mailbox_capacity: 4,
-        min_parallel_refs: 1,
-        watchdog_ms: 250,
-    }
-}
-
-fn new_system(spec: &SystemSpec, trace: &SharedTrace) -> Result<System, DsmError> {
-    System::new(spec.clone(), *trace.topology(), *trace.geometry(), 1 << 20)
-        .map_err(|e| DsmError::internal(format!("chaos system: {e}")))
-}
-
-/// Field-by-field identity against the oracle — the in-process stand-in
-/// for byte-identical reproduce output (the dataset is a pure function
-/// of these counters).
-fn assert_identical(oracle: &System, sys: &System, label: &str) -> Result<(), DsmError> {
-    if oracle.metrics() != sys.metrics() {
-        return Err(DsmError::internal(format!(
-            "{label}: aggregate metrics diverged from the oracle"
-        )));
-    }
-    for c in 0..oracle.topology().clusters() {
-        if oracle.cluster_counts(ClusterId(c)) != sys.cluster_counts(ClusterId(c)) {
-            return Err(DsmError::internal(format!(
-                "{label}: cluster {c} counters diverged from the oracle"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// One supervised sharded replay under `plan`, checked against `oracle`.
-/// The verdict line records whether the plan was absorbed (`degraded=
-/// none`) or supervised into the oracle path — both are legal; drift,
-/// invariant violations, or a wrong engine are not.
-fn run_shard_scenario(
-    plan: FaultPlan,
-    spec: &SystemSpec,
-    trace: &SharedTrace,
-    oracle: &System,
-    want_engine: ShardEngine,
-    label: &str,
-) -> Result<(), DsmError> {
-    let mut sys = new_system(spec, trace)?;
-    install(Some(plan));
-    sys.run_sharded_with(trace, 2, chaos_tuning());
-    install(None);
-    let report = sys
-        .shard_report()
-        .ok_or_else(|| DsmError::internal(format!("{label}: no shard report")))?;
-    if report.engine != want_engine {
-        return Err(DsmError::internal(format!(
-            "{label}: engaged {:?}, wanted {want_engine:?}",
-            report.engine
-        )));
-    }
-    assert_identical(oracle, &sys, label)?;
-    sys.check_invariants()
-        .map_err(|e| DsmError::internal(format!("{label}: merged state invalid: {e}")))?;
-    println!(
-        "chaos: {label} plan={} engine={:?} degraded={} .. ok",
-        plan.spec(),
-        report.engine,
-        report.degraded.map_or("none", |f| f.label()),
-    );
-    Ok(())
 }
 
 fn sample_report(label: &str) -> Report {
@@ -346,7 +258,7 @@ fn run_atomic_scenario(plan: FaultPlan, tmp: &Path, label: &str) -> Result<(), D
 fn run_mmap_scenario(plan: FaultPlan, tmp: &Path, label: &str) -> Result<(), DsmError> {
     let path = tmp.join("chaos.dsmt");
     if !path.exists() {
-        let trace = chaos_trace(11, 512, 2)?;
+        let trace = chaos_trace(11, 512)?;
         let file = fs::File::create(&path)
             .map_err(|e| DsmError::internal(format!("{label}: create trace file: {e}")))?;
         codec::write_shared(std::io::BufWriter::new(file), &trace)
@@ -369,72 +281,19 @@ fn run_mmap_scenario(plan: FaultPlan, tmp: &Path, label: &str) -> Result<(), Dsm
     Ok(())
 }
 
-/// Dispatch one plan to the scenarios its site can reach. Shard sites
-/// run through both engines; I/O sites hit their subsystem directly.
-fn run_plan(plan: FaultPlan, label: &str, fixtures: &Fixtures, tmp: &Path) -> Result<(), DsmError> {
+/// Dispatch one plan to the scenario of its site, which hits the
+/// site's subsystem directly.
+fn run_plan(plan: FaultPlan, label: &str, tmp: &Path) -> Result<(), DsmError> {
     match plan.site {
-        FaultSite::WorkerPanic | FaultSite::MailboxSendFail | FaultSite::MailboxStall => {
-            run_shard_scenario(
-                plan,
-                &fixtures.spec,
-                &fixtures.components_trace,
-                &fixtures.components_oracle,
-                ShardEngine::Components,
-                &format!("{label}/components"),
-            )?;
-            run_shard_scenario(
-                plan,
-                &fixtures.spec,
-                &fixtures.rounds_trace,
-                &fixtures.rounds_oracle,
-                ShardEngine::Rounds,
-                &format!("{label}/rounds"),
-            )
-        }
         FaultSite::JournalIo => run_journal_scenario(plan, tmp, label),
         FaultSite::AtomicWriteIo => run_atomic_scenario(plan, tmp, label),
         FaultSite::MmapTruncate => run_mmap_scenario(plan, tmp, label),
     }
 }
 
-/// Shared in-process state: one spec, one trace per engine, and the
-/// oracle state each sharded run must reproduce exactly.
-struct Fixtures {
-    spec: SystemSpec,
-    components_trace: SharedTrace,
-    components_oracle: System,
-    rounds_trace: SharedTrace,
-    rounds_oracle: System,
-}
-
-impl Fixtures {
-    fn build() -> Result<Fixtures, DsmError> {
-        let spec = SystemSpec::vb();
-        let components_trace = chaos_trace(3, 6000, 2)?;
-        let rounds_trace = chaos_trace(7, 6000, 1)?;
-        let mut components_oracle = new_system(&spec, &components_trace)?;
-        components_oracle.run_shared(&components_trace);
-        let mut rounds_oracle = new_system(&spec, &rounds_trace)?;
-        rounds_oracle.run_shared(&rounds_trace);
-        Ok(Fixtures {
-            spec,
-            components_trace,
-            components_oracle,
-            rounds_trace,
-            rounds_oracle,
-        })
-    }
-}
-
-/// The directed in-process matrix: every site, both engine-visible
-/// coordinate shapes, an absorbed (sub-watchdog) stall, and both sides
-/// of the I/O retry budget.
-const DIRECTED_SPECS: [&str; 10] = [
-    "worker-panic@r0.p0.s0",
-    "worker-panic@r1.p0.s1",
-    "mailbox-send-fail@r1.p0.s0",
-    "mailbox-stall@r0.p0.s0:50",
-    "mailbox-stall@r1.p0.s0",
+/// The directed in-process matrix: every site, and both sides of the
+/// I/O retry budget.
+const DIRECTED_SPECS: [&str; 5] = [
     "journal-io:2",
     "journal-io:5",
     "atomic-write-io:2",
@@ -442,13 +301,13 @@ const DIRECTED_SPECS: [&str; 10] = [
     "mmap-truncate",
 ];
 
-/// Run `reproduce` with `envs` and assert it exits within the deadline;
-/// a child that overruns is killed and reported as exit-4 `stalled`.
+/// Run `reproduce` on the fft subset and assert it exits within the
+/// deadline; a child that overruns is killed and reported as exit-4
+/// `stalled`.
 fn run_reproduce(
     reproduce: &Path,
     out_dir: &Path,
     extra_args: &[&str],
-    envs: &[(&str, String)],
     label: &str,
 ) -> Result<(std::process::ExitStatus, String), DsmError> {
     fs::create_dir_all(out_dir)
@@ -460,21 +319,9 @@ fn run_reproduce(
     let stderr = fs::File::create(&stderr_path)
         .map_err(|e| DsmError::internal(format!("{label}: create stderr capture: {e}")))?;
     let mut cmd = Command::new(reproduce);
-    cmd.args([
-        "--scale",
-        "0.05",
-        "--workloads",
-        "fft",
-        "--shard-workers",
-        "2",
-        "--jobs",
-        "1",
-    ]);
+    cmd.args(["--scale", "0.05", "--workloads", "fft", "--jobs", "1"]);
     cmd.args(extra_args);
     cmd.args(["--out"]).arg(out_dir);
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
     cmd.stdin(Stdio::null());
     cmd.stdout(Stdio::from(stdout));
     cmd.stderr(Stdio::from(stderr));
@@ -532,40 +379,6 @@ fn tail(text: &str, lines: usize) -> String {
     all[start..].join("\n")
 }
 
-/// The acceptance scenarios: a worker panic and a mailbox stall injected
-/// into a real 2-worker rounds-engine reproduce must exit 0, report the
-/// degradation in the shard plan line, and match the goldens bit for bit.
-fn e2e_supervised(reproduce: &Path, golden: &Path, tmp: &Path) -> Result<(), DsmError> {
-    let cases = [
-        ("worker-panic@r1.p0.s0", "degraded=worker-panic"),
-        ("mailbox-stall@r1.p0.s0", "degraded=mailbox-stall"),
-    ];
-    for (spec, marker) in cases {
-        let label = format!("e2e/{spec}");
-        let out_dir = tmp.join(format!("e2e-{}", spec.replace(['@', '.', ':'], "-")));
-        let envs = [
-            ("DSM_FAULT_PLAN", spec.to_owned()),
-            ("DSM_SHARD_WATCHDOG_MS", "500".to_owned()),
-        ];
-        let (status, stderr) = run_reproduce(reproduce, &out_dir, &[], &envs, &label)?;
-        if !status.success() {
-            return Err(DsmError::internal(format!(
-                "{label}: reproduce failed ({status}); stderr tail:\n{}",
-                tail(&stderr, 15)
-            )));
-        }
-        if !stderr.contains(marker) {
-            return Err(DsmError::internal(format!(
-                "{label}: no '{marker}' in any shard plan line; stderr tail:\n{}",
-                tail(&stderr, 15)
-            )));
-        }
-        diff_against_golden(&out_dir, golden, &label)?;
-        println!("chaos: {label} degraded to oracle, byte-identical to goldens .. ok");
-    }
-    Ok(())
-}
-
 /// Seed sweep end to end: whatever site the seed lands on, the run must
 /// either succeed with byte-identical output or die with a documented
 /// exit code and no torn dataset — and always within the deadline.
@@ -574,14 +387,8 @@ fn e2e_seed(reproduce: &Path, golden: &Path, tmp: &Path, seed: u64) -> Result<()
     let label = format!("e2e/seed-{seed}");
     let out_dir = tmp.join(format!("e2e-seed-{seed}"));
     let seed_arg = seed.to_string();
-    let envs = [("DSM_SHARD_WATCHDOG_MS", "500".to_owned())];
-    let (status, stderr) = run_reproduce(
-        reproduce,
-        &out_dir,
-        &["--fault-seed", &seed_arg],
-        &envs,
-        &label,
-    )?;
+    let (status, stderr) =
+        run_reproduce(reproduce, &out_dir, &["--fault-seed", &seed_arg], &label)?;
     if status.success() {
         diff_against_golden(&out_dir, golden, &label)?;
         println!(
@@ -629,12 +436,10 @@ fn run() -> Result<(), DsmError> {
         .map_err(|e| DsmError::internal(format!("create {}: {e}", tmp.display())))?;
 
     let mut sweep_summary = String::new();
-    let fixtures = Fixtures::build()?;
-
     for spec in DIRECTED_SPECS {
         let plan =
             FaultPlan::from_spec(spec).map_err(|e| DsmError::internal(format!("{spec}: {e}")))?;
-        run_plan(plan, &format!("directed/{spec}"), &fixtures, &tmp)?;
+        run_plan(plan, &format!("directed/{spec}"), &tmp)?;
     }
 
     let mut seeds = args.seeds.clone();
@@ -643,14 +448,13 @@ fn run() -> Result<(), DsmError> {
     }
     for &seed in &seeds {
         let plan = FaultPlan::derive(seed);
-        run_plan(plan, &format!("seed-{seed}"), &fixtures, &tmp)?;
+        run_plan(plan, &format!("seed-{seed}"), &tmp)?;
         let _ = write!(sweep_summary, " {seed}:{}", plan.site.label());
     }
     println!("chaos: in-process sweep complete:{sweep_summary}");
 
     match (&args.reproduce, &args.golden) {
         (Some(reproduce), Some(golden)) => {
-            e2e_supervised(reproduce, golden, &tmp)?;
             for &seed in args.seeds.iter().take(E2E_SEEDS) {
                 e2e_seed(reproduce, golden, &tmp, seed)?;
             }

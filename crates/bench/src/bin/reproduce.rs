@@ -5,8 +5,7 @@
 //! Usage:
 //!
 //! ```text
-//! reproduce [--scale <f>] [--jobs <n>] [--shard-workers <n>]
-//!           [--markdown] [--out <dir>]
+//! reproduce [--scale <f>] [--jobs <n>] [--markdown] [--out <dir>]
 //!           [--journal <file> | --resume <file>]
 //!           [--figures <csv>] [--workloads <csv>]
 //!           [--progress] [--phase-stats] [--chrome-trace <file>]
@@ -47,10 +46,9 @@
 //! The table executes through the parallel sweep engine
 //! (`dsm_bench::sweep`) on `--jobs <n>` workers (default: all hardware
 //! threads; env `DSM_JOBS`); `--jobs 1` is the exact legacy serial path.
-//! `--shard-workers <n>` (env `DSM_SHARD_WORKERS`) additionally replays
-//! each point through the sharded engine on up to `n` threads — metric-
-//! and byte-identical to the oracle for any value, with the sweep worker
-//! count shrunk to `jobs/n` so the two levels share one thread budget.
+//! Points are the unit of parallelism: each one replays its trace on a
+//! single thread. `--shard-workers 1` is still accepted, and ignored, so
+//! existing command lines keep working; any other value is a usage error.
 //! A failed point does not abort the sweep: every other point still
 //! runs, every figure that does not need a failed point still prints,
 //! the failure summaries (with one-line `simulate` repro invocations)
@@ -83,7 +81,7 @@ use dsm_core::{PcSize, PhaseCounters, SystemSpec, Tee};
 use dsm_trace::WorkloadKind;
 use dsm_types::DsmError;
 
-const USAGE: &str = "reproduce [--scale <f>] [--jobs <n>] [--shard-workers <n>] [--markdown] [--out <dir>] [--journal <file> | --resume <file>] [--figures <csv>] [--workloads <csv>] [--progress] [--phase-stats] [--chrome-trace <file>]\n       reproduce --epoch <refs> [--trace-events] [--scale <f>] [--out <dir>]";
+const USAGE: &str = "reproduce [--scale <f>] [--jobs <n>] [--markdown] [--out <dir>] [--journal <file> | --resume <file>] [--figures <csv>] [--workloads <csv>] [--progress] [--phase-stats] [--chrome-trace <file>]\n       reproduce --epoch <refs> [--trace-events] [--scale <f>] [--out <dir>]";
 
 struct Flags {
     run: RunArgs,
@@ -321,10 +319,9 @@ fn run_figures(flags: &Flags) -> Result<(), DsmError> {
     let scale = flags.run.scale;
     let jobs = flags.run.jobs;
     eprintln!(
-        "reproduce: scale factor {}, {} sweep worker(s), {} shard worker(s)",
+        "reproduce: scale factor {}, {} sweep worker(s)",
         scale.factor(),
-        jobs.get(),
-        flags.run.shard_workers
+        jobs.get()
     );
     if let Some(wanted) = &flags.figures {
         for w in wanted {

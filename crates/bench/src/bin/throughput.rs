@@ -6,7 +6,7 @@
 //! Usage:
 //!
 //! ```text
-//! throughput [--scale <f>] [--shard-workers <n>] [--out <path>] [--best-of <n>] \
+//! throughput [--scale <f>] [--out <path>] [--best-of <n>] \
 //!            [--baseline <workload>/<name>=<refs_per_s>]... [--baseline-commit <sha>]
 //! ```
 //!
@@ -47,7 +47,7 @@ use dsm_core::obs::{write_json_atomic, Json};
 use dsm_core::{PcSize, SystemSpec};
 use dsm_trace::WorkloadKind;
 
-const USAGE: &str = "throughput [--scale <f>] [--shard-workers <n>] [--out <path>] [--best-of <n>] [--baseline <workload>/<name>=<refs_per_s>]... [--baseline-commit <sha>]";
+const USAGE: &str = "throughput [--scale <f>] [--out <path>] [--best-of <n>] [--baseline <workload>/<name>=<refs_per_s>]... [--baseline-commit <sha>]";
 
 /// The benchmarked workloads: one regular, one irregular kernel, so the
 /// replay cost is tracked under both friendly and hostile access
@@ -137,12 +137,6 @@ fn main() -> ExitCode {
     for (kind, _) in WORKLOADS {
         ts.prepare(kind);
     }
-    if ts.shard_workers() > 1 {
-        eprintln!(
-            "throughput: sharded replay with {} workers",
-            ts.shard_workers()
-        );
-    }
 
     let mut tiny = Tiny::unfiltered();
     tiny.group("sim_throughput");
@@ -220,7 +214,6 @@ fn main() -> ExitCode {
     let json = Json::obj()
         .set("schema", "dsm-bench-throughput/v3")
         .set("scale", scale.factor())
-        .set("shard_workers", ts.shard_workers() as u64)
         .set("machine", machine)
         .set(
             "baseline_commit",

@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex};
 
 use dsm_core::obs::span::SpanTracer;
 use dsm_core::obs::Json;
-use dsm_core::runner::{run_trace, run_trace_probed, run_trace_sharded};
+use dsm_core::runner::{run_trace, run_trace_probed};
 use dsm_core::{PhaseCounters, PhaseProfiler, Probe, Report, SystemSpec};
 use dsm_trace::{open_shared_mapped, write_shared, Scale, SharedTrace, WorkloadKind};
 use dsm_types::{DsmError, Geometry, Topology};
@@ -20,24 +20,20 @@ pub const COMMON_FLAGS_USAGE: &str = "\
 common flags:
   --scale <f>  trace-length scale factor in (0, 1] (env DSM_SCALE; default 1.0)
   --jobs <n>   sweep worker threads (env DSM_JOBS; default: available
-               parallelism; 1 = the serial legacy path)
-  --shard-workers <n|auto>  replay threads per simulated point (env
-               DSM_SHARD_WORKERS; default 1 = the single-threaded oracle
-               path). Results are byte-identical for any value; sweep
-               workers shrink to jobs/n so both levels share one budget,
-               so n must not exceed --jobs (unless --jobs is 1, which
-               dedicates the whole budget to replay). 'auto' derives n
-               from the host's available parallelism, capped by the
-               --jobs budget
+               parallelism; 1 = the serial legacy path). Simulated points
+               are the unit of parallelism: each replays on one thread
+  --shard-workers 1  accepted for compatibility and ignored; intra-trace
+               sharding was removed, so any other value is an error
   --mmap       replay traces through the zero-copy mmap loader:
                generated traces are spilled to a temp file and mapped
                read-only instead of staying heap-resident (env DSM_MMAP;
                results are byte-identical either way)
   --fault-seed <n>  arm the deterministic fault-injection plane with the
                plan derived from seed n (env DSM_FAULT_PLAN accepts a
-               seed or an explicit site spec like worker-panic@r1.p0.s0;
-               supervised recovery keeps results byte-identical or fails
-               with a structured error — chaos testing only)";
+               seed or an explicit site spec: journal-io:<n>,
+               atomic-write-io:<n> or mmap-truncate; supervised recovery
+               keeps results byte-identical or fails with a structured
+               error — chaos testing only)";
 
 /// The common CLI arguments of every experiment binary.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,8 +42,6 @@ pub struct RunArgs {
     pub scale: Scale,
     /// Sweep-engine worker count.
     pub jobs: Jobs,
-    /// Replay threads per simulated point (1 = oracle path).
-    pub shard_workers: usize,
     /// Load traces through the zero-copy mmap path.
     pub mmap: bool,
     /// Fault-injection seed (`--fault-seed`): `Some` arms the plan
@@ -57,8 +51,9 @@ pub struct RunArgs {
 }
 
 /// Parses `argv` (without the program name), accepting `--scale <f>`,
-/// `--jobs <n>` and `--shard-workers <n>`. Any other argument is first
-/// offered to `extra`, which
+/// `--jobs <n>`, `--mmap` and `--fault-seed <n>`, plus `--shard-workers 1`
+/// as a no-op kept so existing command lines still run. Any other
+/// argument is first offered to `extra`, which
 /// returns how many argv items it consumed (`Ok(0)` = unrecognized).
 /// Unknown or malformed flags are an `Err` — nothing is silently
 /// swallowed. Missing values fall back to `DSM_SCALE` / `DSM_JOBS`, then
@@ -71,23 +66,8 @@ pub fn parse_argv(
     argv: &[String],
     mut extra: impl FnMut(&[String], usize) -> Result<usize, String>,
 ) -> Result<RunArgs, String> {
-    /// `--shard-workers` before resolution: an explicit count, or
-    /// `auto` (derive from available parallelism and the jobs budget).
-    enum ShardWorkersArg {
-        Count(usize),
-        Auto,
-    }
-    fn parse_shard_workers(v: &str) -> Result<ShardWorkersArg, String> {
-        if v == "auto" {
-            return Ok(ShardWorkersArg::Auto);
-        }
-        v.parse()
-            .map(ShardWorkersArg::Count)
-            .map_err(|_| format!("bad worker count '{v}' (expected a number or 'auto')"))
-    }
     let mut scale: Option<f64> = None;
     let mut jobs: Option<usize> = None;
-    let mut shard_workers: Option<ShardWorkersArg> = None;
     let mut mmap = false;
     let mut fault_seed: Option<u64> = None;
     let mut i = 0;
@@ -111,7 +91,13 @@ pub fn parse_argv(
                 let v = argv
                     .get(i + 1)
                     .ok_or_else(|| "--shard-workers requires a value".to_owned())?;
-                shard_workers = Some(parse_shard_workers(v)?);
+                if v != "1" {
+                    return Err(format!(
+                        "--shard-workers {v}: intra-trace sharding was removed; every \
+                         point replays on one thread (only --shard-workers 1 is \
+                         accepted). Use --jobs <n> to run points in parallel"
+                    ));
+                }
                 i += 2;
             }
             "--mmap" => {
@@ -141,58 +127,17 @@ pub fn parse_argv(
             jobs = Some(v.parse().map_err(|_| format!("bad DSM_JOBS '{v}'"))?);
         }
     }
-    if shard_workers.is_none() {
-        if let Ok(v) = std::env::var("DSM_SHARD_WORKERS") {
-            shard_workers =
-                Some(parse_shard_workers(&v).map_err(|_| format!("bad DSM_SHARD_WORKERS '{v}'"))?);
-        }
-    }
     if !mmap {
         if let Ok(v) = std::env::var("DSM_MMAP") {
             mmap = !v.is_empty() && v != "0";
         }
     }
-    let jobs = match jobs {
-        Some(n) => Jobs::new(n)?,
-        None => Jobs::available(),
-    };
-    // Resolve `auto` against the host and the jobs budget: under a
-    // serial sweep (--jobs 1) every hardware thread goes to replay;
-    // otherwise replay threads cannot exceed the sweep budget.
-    let shard_workers = match shard_workers {
-        None => 1,
-        Some(ShardWorkersArg::Count(n)) => n,
-        Some(ShardWorkersArg::Auto) => {
-            let avail = Jobs::available().get();
-            if jobs.get() == 1 {
-                avail
-            } else {
-                avail.min(jobs.get())
-            }
-        }
-    };
-    if shard_workers == 0 {
-        return Err("--shard-workers must be at least 1".to_owned());
-    }
-    // The two parallelism levels share one thread budget (jobs /
-    // shard-workers sweep workers). Asking for more replay threads than
-    // the budget holds cannot be honored — except under --jobs 1, the
-    // explicit "serial sweep, all threads to replay" idiom.
-    if jobs.get() > 1 && shard_workers > jobs.get() {
-        let j = jobs.get();
-        return Err(format!(
-            "--shard-workers {shard_workers} exceeds the --jobs {j} thread budget: \
-             the split {j} jobs / {shard_workers} replay threads leaves 0 concurrent \
-             sweep points. Largest legal value here is --shard-workers {j} \
-             (split: 1 sweep point x {j} replay threads); or use --jobs 1 to \
-             dedicate every thread to replay, or --shard-workers auto to derive \
-             a legal value"
-        ));
-    }
     Ok(RunArgs {
         scale: Scale::new(scale.unwrap_or(1.0)).map_err(|e| e.to_string())?,
-        jobs,
-        shard_workers,
+        jobs: match jobs {
+            Some(n) => Jobs::new(n)?,
+            None => Jobs::available(),
+        },
         mmap,
         fault_seed,
     })
@@ -259,10 +204,6 @@ pub struct TraceSet {
     geo: Geometry,
     scale: Scale,
     jobs: Jobs,
-    /// Replay threads per simulated point (1 = the single-threaded
-    /// oracle path). See [`TraceSet::effective_jobs`] for how this
-    /// shares one thread budget with the sweep workers.
-    shard_workers: usize,
     /// Spill generated traces to a temp file and reopen them through the
     /// zero-copy mmap loader (`--mmap`), so sweeps replay from mapped
     /// pages exactly like externally supplied trace files.
@@ -297,12 +238,11 @@ impl TraceSet {
     }
 
     /// Builds a set from parsed CLI arguments: scale, sweep jobs and
-    /// per-point replay workers — the one-liner every figure binary uses
-    /// so `--shard-workers` is honored everywhere.
+    /// the trace storage mode — the one-liner every figure binary uses
+    /// so the common flags are honored everywhere.
     #[must_use]
     pub fn from_args(args: &RunArgs) -> Self {
         let mut ts = TraceSet::with_jobs(args.scale, args.jobs);
-        ts.set_shard_workers(args.shard_workers);
         ts.set_mmap(args.mmap);
         ts
     }
@@ -315,7 +255,6 @@ impl TraceSet {
             geo: Geometry::paper_default(),
             scale,
             jobs,
-            shard_workers: 1,
             mmap: false,
             journal: None,
             traces: HashMap::new(),
@@ -339,24 +278,6 @@ impl TraceSet {
         self.jobs
     }
 
-    /// Sets the replay-thread count per simulated point (see
-    /// [`dsm_core::runner::run_trace_sharded`]); 1 restores the
-    /// single-threaded oracle path. Results are identical either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn set_shard_workers(&mut self, workers: usize) {
-        assert!(workers > 0, "shard workers must be at least 1");
-        self.shard_workers = workers;
-    }
-
-    /// Replay threads per simulated point.
-    #[must_use]
-    pub fn shard_workers(&self) -> usize {
-        self.shard_workers
-    }
-
     /// Enables (or disables) the zero-copy trace path: traces generated
     /// by [`TraceSet::prepare`] are written to a temp file and reopened
     /// through the kernel mapping, so replays decode from mapped pages.
@@ -369,16 +290,6 @@ impl TraceSet {
     #[must_use]
     pub fn mmap(&self) -> bool {
         self.mmap
-    }
-
-    /// The sweep worker count after sharing the thread budget with the
-    /// per-point replay workers: `max(1, jobs / shard_workers)`, so
-    /// `--jobs 8 --shard-workers 4` runs 2 concurrent points of 4 replay
-    /// threads each instead of oversubscribing 32 threads.
-    #[must_use]
-    pub fn effective_jobs(&self) -> Jobs {
-        let budget = (self.jobs.get() / self.shard_workers).max(1);
-        Jobs::new(budget).unwrap_or_else(|_| Jobs::serial())
     }
 
     /// The trace-length scale factor (part of every trace's identity).
@@ -513,12 +424,12 @@ impl TraceSet {
             .traces
             .get(&kind)
             .unwrap_or_else(|| panic!("trace for {kind} not prepared"));
-        let name = kind.display_name().to_lowercase();
-        if self.shard_workers > 1 {
-            run_trace_sharded(spec, &name, *data_bytes, trace, self.shard_workers)
-        } else {
-            run_trace(spec, &name, *data_bytes, trace)
-        }
+        run_trace(
+            spec,
+            &kind.display_name().to_lowercase(),
+            *data_bytes,
+            trace,
+        )
         .unwrap_or_else(|e| panic!("{}/{kind}: {e}", spec.name))
     }
 
@@ -754,8 +665,7 @@ pub fn sweep_grid(
     specs: &[SystemSpec],
     kinds: &[WorkloadKind],
 ) -> Vec<(WorkloadKind, Vec<SweepOutcome>)> {
-    // Sweep-level and replay-level parallelism share one thread budget.
-    let jobs = ts.effective_jobs();
+    let jobs = ts.jobs();
     kinds
         .iter()
         .map(|&kind| {
@@ -917,42 +827,49 @@ mod tests {
         assert!(parse_argv(&argv(&["--scale", "7"]), |_, _| Ok(0)).is_err());
     }
 
+    /// Asserts that `--jobs <jobs> --shard-workers <v>` is a usage error
+    /// that says sharding was removed and points to `--jobs`.
+    fn assert_shard_value_rejected(jobs: &str, v: &str) {
+        let e =
+            parse_argv(&argv(&["--jobs", jobs, "--shard-workers", v]), |_, _| Ok(0)).unwrap_err();
+        assert!(e.contains("sharding was removed"), "--jobs {jobs} {v}: {e}");
+        assert!(e.contains("--jobs"), "--jobs {jobs} {v}: {e}");
+    }
+
     #[test]
     fn parse_argv_accepts_shard_workers() {
-        // --jobs 1 dedicates the whole thread budget to replay, so the
-        // result does not depend on the host's parallelism (the default
-        // --jobs).
-        let a = parse_argv(&argv(&["--jobs", "1", "--shard-workers", "4"]), |_, _| {
-            Ok(0)
-        })
-        .unwrap();
-        assert_eq!(a.shard_workers, 4);
-        let default = parse_argv(&argv(&[]), |_, _| Ok(0)).unwrap();
-        assert_eq!(default.shard_workers, 1);
-        assert!(parse_argv(&argv(&["--shard-workers", "0"]), |_, _| Ok(0)).is_err());
+        // `--shard-workers 1` is a no-op kept for existing command lines,
+        // under any --jobs: the parse equals the one without the flag.
+        for jobs in ["1", "2"] {
+            let with = parse_argv(&argv(&["--jobs", jobs, "--shard-workers", "1"]), |_, _| {
+                Ok(0)
+            })
+            .unwrap();
+            let without = parse_argv(&argv(&["--jobs", jobs]), |_, _| Ok(0)).unwrap();
+            assert_eq!(with, without, "--jobs {jobs}");
+        }
         assert!(parse_argv(&argv(&["--shard-workers"]), |_, _| Ok(0)).is_err());
-        assert!(parse_argv(&argv(&["--shard-workers", "many"]), |_, _| Ok(0)).is_err());
+        assert_shard_value_rejected("1", "0");
+        assert_shard_value_rejected("1", "many");
+    }
+
+    #[test]
+    fn parse_argv_rejects_replay_threads_beyond_the_jobs_budget() {
+        // Every point replays on one thread, so any second replay thread
+        // is rejected: also under --jobs 1, the old "all threads to
+        // replay" idiom, and at the old equal-split boundary.
+        for (jobs, v) in [("1", "2"), ("1", "4"), ("2", "4"), ("4", "4")] {
+            assert_shard_value_rejected(jobs, v);
+        }
     }
 
     #[test]
     fn parse_argv_resolves_auto_shard_workers() {
-        let avail = Jobs::available().get();
-        // Serial sweep: auto dedicates the whole host to replay.
-        let a = parse_argv(
-            &argv(&["--jobs", "1", "--shard-workers", "auto"]),
-            |_, _| Ok(0),
-        )
-        .unwrap();
-        assert_eq!(a.shard_workers, avail);
-        // Parallel sweep: auto is capped by the jobs budget, so the
-        // result is always legal (never trips the exceeds error).
-        let a = parse_argv(
-            &argv(&["--jobs", "2", "--shard-workers", "auto"]),
-            |_, _| Ok(0),
-        )
-        .unwrap();
-        assert_eq!(a.shard_workers, avail.min(2));
-        assert!(a.shard_workers >= 1);
+        // `auto` no longer reads the host's parallelism: it resolves to
+        // the same usage error under every --jobs.
+        for jobs in ["1", "2"] {
+            assert_shard_value_rejected(jobs, "auto");
+        }
     }
 
     #[test]
@@ -964,33 +881,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_argv_rejects_replay_threads_beyond_the_jobs_budget() {
-        // jobs/shard-workers integer-divide into the sweep budget; more
-        // replay threads than jobs cannot be honored...
-        let e = parse_argv(&argv(&["--jobs", "2", "--shard-workers", "4"]), |_, _| {
-            Ok(0)
-        })
-        .unwrap_err();
-        assert!(e.contains("exceeds"), "{e}");
-        // The message spells out the computed split and the way out.
-        assert!(e.contains("2 jobs / 4 replay threads"), "{e}");
-        assert!(e.contains("--shard-workers 2"), "{e}");
-        // ...except under --jobs 1, the "all threads to replay" idiom.
-        let a = parse_argv(&argv(&["--jobs", "1", "--shard-workers", "4"]), |_, _| {
-            Ok(0)
-        })
-        .unwrap();
-        assert_eq!(a.shard_workers, 4);
-        // Equal split is the boundary: still legal.
-        let a = parse_argv(&argv(&["--jobs", "4", "--shard-workers", "4"]), |_, _| {
-            Ok(0)
-        })
-        .unwrap();
-        assert_eq!(a.jobs.get(), 4);
-        assert_eq!(a.shard_workers, 4);
-    }
-
-    #[test]
     fn mmap_trace_set_runs_match_owned_runs() {
         let mut owned = TraceSet::with_jobs(Scale::new(0.5).unwrap(), Jobs::serial());
         let baseline = owned.run(&SystemSpec::vb(), WorkloadKind::Lu);
@@ -999,28 +889,6 @@ mod tests {
         assert!(mapped.mmap());
         let spilled = mapped.run(&SystemSpec::vb(), WorkloadKind::Lu);
         assert_eq!(baseline, spilled);
-    }
-
-    #[test]
-    fn shard_workers_shrink_the_sweep_budget() {
-        let mut ts = TraceSet::with_jobs(Scale::new(0.5).unwrap(), Jobs::new(8).unwrap());
-        assert_eq!(ts.effective_jobs().get(), 8);
-        ts.set_shard_workers(4);
-        assert_eq!(ts.shard_workers(), 4);
-        assert_eq!(ts.effective_jobs().get(), 2);
-        ts.set_shard_workers(16); // more replay threads than jobs
-        assert_eq!(ts.effective_jobs().get(), 1);
-    }
-
-    #[test]
-    fn sharded_trace_set_runs_match_oracle() {
-        let mut ts = TraceSet::with_jobs(Scale::new(0.5).unwrap(), Jobs::serial());
-        ts.prepare(WorkloadKind::Lu);
-        let oracle = ts.run_prepared(&SystemSpec::vb(), WorkloadKind::Lu);
-        ts.set_shard_workers(4);
-        let sharded = ts.run_prepared(&SystemSpec::vb(), WorkloadKind::Lu);
-        assert_eq!(oracle, sharded);
-        ts.evict(WorkloadKind::Lu);
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //! `DSM_FAULT_ABORT` injection point, which calls `abort()` inside a
 //! worker) and then resumed from its journal must produce a dataset
 //! byte-identical to an uninterrupted run — same figures, same f64 bits,
-//! whatever the worker count, and whatever `--shard-workers` split the
-//! replay itself runs under. Wall-clock timings are deliberately outside
+//! whatever the worker count. Wall-clock timings are deliberately outside
 //! the comparison (they live in `timings.json`, not the dataset).
 
 use std::path::Path;
@@ -32,9 +31,11 @@ fn read_dataset(dir: &Path) -> Vec<u8> {
 
 /// The full kill-and-resume cycle under `base` flags: an uninterrupted
 /// reference run, a journaled run killed at [`ABORT_AT`], and a resume
-/// that must merge to a byte-identical dataset. `tag` isolates the temp
-/// tree so the sharded variants can run concurrently.
-fn kill_and_resume_cycle(tag: &str, base: &[&str]) {
+/// that must merge to a byte-identical dataset. A non-empty
+/// `rejected_resume` is first tried as extra resume flags: that attempt
+/// must be a usage error that leaves the journal and output untouched.
+/// `tag` isolates the temp tree so the variants can run concurrently.
+fn kill_and_resume_cycle(tag: &str, base: &[&str], rejected_resume: &[&str]) {
     let tmp = std::env::temp_dir().join(format!("dsm-fault-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&tmp);
     std::fs::create_dir_all(&tmp).expect("create temp dir");
@@ -92,6 +93,40 @@ fn kill_and_resume_cycle(tag: &str, base: &[&str]) {
         "[{tag}] completed points must be journaled before the crash"
     );
 
+    // 2b. A resume with a rejected flag must fail before it touches
+    //     the journal or writes a dataset.
+    if !rejected_resume.is_empty() {
+        let mut args = vec![
+            "--jobs",
+            "2",
+            "--out",
+            dir_resumed.to_str().expect("utf-8"),
+            "--resume",
+            journal_s,
+        ];
+        args.extend_from_slice(rejected_resume);
+        let out = reproduce(base, &args, None);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "[{tag}] {rejected_resume:?} must be a usage error:\n{stderr}"
+        );
+        assert!(
+            stderr.contains("sharding was removed"),
+            "[{tag}] the usage error must say why:\n{stderr}"
+        );
+        assert_eq!(
+            std::fs::read(&journal).expect("journal after rejected resume"),
+            journal_bytes,
+            "[{tag}] a rejected resume must leave the journal untouched"
+        );
+        assert!(
+            !dir_resumed.join("reproduce_full.json").exists(),
+            "[{tag}] a rejected resume must not write a dataset"
+        );
+    }
+
     // 3. Resume from the journal: completed points are skipped, the rest
     //    (including the aborted point) are recomputed.
     let out = reproduce(
@@ -128,26 +163,38 @@ fn kill_and_resume_cycle(tag: &str, base: &[&str]) {
 
 #[test]
 fn killed_sweep_resumes_to_byte_identical_output() {
-    kill_and_resume_cycle("serial", &["--workloads", "lu"]);
+    kill_and_resume_cycle("serial", &["--workloads", "lu"], &[]);
 }
 
-/// Same cycle with the replay itself sharded two ways: the LU sweep
-/// points replay through the component shard planner and the FFT points
-/// (one sharing component) through the rounds engine, so the crash,
-/// journal skip, and re-run paths are all proven on top of supervised
-/// sharded replay — not just the serial oracle.
+/// Same cycle over two workloads: the sweep runs workload-major, so the
+/// abort lands in the first workload and the resume must both skip its
+/// journaled points and run the whole second workload from scratch.
+#[test]
+fn killed_two_workload_sweep_resumes_to_byte_identical_output() {
+    kill_and_resume_cycle("two-workloads", &["--workloads", "lu,fft"], &[]);
+}
+
+/// Same cycle with `--shard-workers 1`, the retired flag's one accepted
+/// value, on every command line, as the benchmark passes it: the no-op
+/// must leave the crash, journal-skip and re-run paths byte-identical.
 #[test]
 fn killed_sharded_sweep_resumes_to_byte_identical_output() {
-    kill_and_resume_cycle("shard2", &["--workloads", "lu,fft", "--shard-workers", "2"]);
+    kill_and_resume_cycle(
+        "shard1",
+        &["--workloads", "lu", "--shard-workers", "1"],
+        &[],
+    );
 }
 
-/// `--shard-workers auto` resolves the replay split from the host's
-/// parallelism and the `--jobs` budget; resume identity must hold there
-/// too, since that is the configuration operators actually run.
+/// A killed sweep resumed by a command line that still says
+/// `--shard-workers auto` must stop at the usage error without touching
+/// the journal, so the corrected resume still merges to byte-identical
+/// output.
 #[test]
 fn killed_auto_sharded_sweep_resumes_to_byte_identical_output() {
     kill_and_resume_cycle(
         "shard-auto",
-        &["--workloads", "lu,fft", "--shard-workers", "auto"],
+        &["--workloads", "lu"],
+        &["--shard-workers", "auto"],
     );
 }

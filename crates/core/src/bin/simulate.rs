@@ -34,7 +34,6 @@ fn usage() -> ExitCode {
          overrides: --cache-bytes <n> --cache-ways <n> --nc-bytes <n> --pointers <p> --dirty-shared\n\
          page-cache options: --pc-fraction <d> | --pc-bytes <n>; vxp: --threshold <t>\n\
          checking: --check <K> (validate coherence invariants every K references)\n\
-         parallelism: --shard-workers <n> (shard replay by home cluster; metrics identical)\n\
          observability: --stats [--top <k>] [--epoch <refs>]\n\
          chaos: env DSM_FAULT_PLAN=<seed|spec> arms deterministic fault injection\n\
          \x20      (supervised recovery keeps metrics identical or fails structurally)"
@@ -62,7 +61,6 @@ struct Options {
     stats: bool,
     top: usize,
     epoch: Option<u64>,
-    shard_workers: usize,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -86,7 +84,6 @@ fn parse_args() -> Result<Options, String> {
         stats: false,
         top: 10,
         epoch: None,
-        shard_workers: 1,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -134,13 +131,6 @@ fn parse_args() -> Result<Options, String> {
                 }
                 o.epoch = Some(w);
             }
-            "--shard-workers" => {
-                let n: usize = num("--shard-workers", &val()?)?;
-                if n == 0 {
-                    return Err("--shard-workers must be at least 1".to_owned());
-                }
-                o.shard_workers = n;
-            }
             other => return Err(format!("unknown option '{other}'")),
         }
     }
@@ -152,12 +142,6 @@ fn parse_args() -> Result<Options, String> {
     }
     if o.mmap && o.trace.is_none() {
         return Err("--mmap requires --trace (generated workloads are heap-resident)".to_owned());
-    }
-    if o.stats && o.shard_workers > 1 {
-        return Err(
-            "--shard-workers does not combine with --stats (the probe is single-threaded)"
-                .to_owned(),
-        );
     }
     Ok(o)
 }
@@ -430,26 +414,7 @@ fn run(o: &Options, spec: SystemSpec) -> Result<(), DsmError> {
         return Ok(());
     }
 
-    let report = if o.shard_workers > 1 {
-        // Sharded replay has no per-K checkpointing, but the final
-        // machine state can still be validated wholesale.
-        let (topo, geo) = (*trace.topology(), *trace.geometry());
-        let mut system = System::new(spec, topo, geo, data_bytes)?;
-        let engaged = system.run_sharded(&trace, o.shard_workers);
-        match system.shard_report() {
-            Some(r) if engaged > 1 => eprintln!(
-                "simulate: sharded replay across {engaged} workers ({:?} engine, {} parallel rounds, {} parallel / {} serial refs)",
-                r.engine, r.parallel_rounds, r.parallel_refs, r.serial_refs
-            ),
-            _ => eprintln!(
-                "simulate: no parallel work found; replayed on the single-thread oracle"
-            ),
-        }
-        if o.check.is_some() {
-            system.check_invariants()?;
-        }
-        report_of(&system, &name, data_bytes, trace.len() as u64)
-    } else if let Some(k) = o.check {
+    let report = if let Some(k) = o.check {
         let (topo, geo) = (*trace.topology(), *trace.geometry());
         let mut system = System::new(spec, topo, geo, data_bytes)?;
         system.set_check_level(k);

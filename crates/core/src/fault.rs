@@ -10,10 +10,12 @@
 //!   the plan named by `DSM_FAULT_PLAN` (a seed or an explicit spec);
 //! * [`retry_transient`] — bounded retry-with-backoff around fallible
 //!   I/O, absorbing `EINTR`-class errors (injected or real) before the
-//!   caller's sticky-disable / structured-error path runs;
-//! * [`shard_plan`] — the sharded engines' one-shot read of the active
-//!   plan, filtered to shard sites.
+//!   caller's sticky-disable / structured-error path runs.
 //!
+//! Of the three injection sites, `journal-io` and `atomic-write-io` fire
+//! inside [`retry_transient`]; `mmap-truncate` needs no helper here, as
+//! mapped-trace revalidation in `dsm-trace` consults the plan directly,
+//! at open and before each point's replay ([`crate::runner::run_trace`]).
 //! With no plan installed every consultation is a single relaxed atomic
 //! load, so the hot path costs nothing.
 
@@ -93,14 +95,6 @@ pub fn retry_transient<T>(site: FaultSite, mut op: impl FnMut() -> io::Result<T>
     }
 }
 
-/// The active plan if it targets a sharded-replay site; the engines
-/// read this once at entry and thread it down, so workers never touch
-/// the global.
-#[must_use]
-pub fn shard_plan() -> Option<FaultPlan> {
-    active().filter(|p| p.site.is_shard())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,24 +166,17 @@ mod tests {
         let _guard = test_lock();
         // Env mutation is process-global; serialized by the same lock as
         // every other plan-touching test.
-        std::env::set_var(FAULT_PLAN_ENV, "no-such-site@r0.p0.s0");
-        let err = install_from_env().unwrap_err();
-        assert_eq!(err.exit_code(), 2);
-        assert!(err.to_string().contains(FAULT_PLAN_ENV), "{err}");
-        std::env::set_var(FAULT_PLAN_ENV, "worker-panic@r1.p0.s0");
+        // Only the three I/O sites parse; any other site name is unknown.
+        for bad in ["no-such-site@r0.p0.s0", "worker-panic@r1.p0.s0"] {
+            std::env::set_var(FAULT_PLAN_ENV, bad);
+            let err = install_from_env().unwrap_err();
+            assert_eq!(err.exit_code(), 2);
+            assert!(err.to_string().contains(FAULT_PLAN_ENV), "{err}");
+        }
+        std::env::set_var(FAULT_PLAN_ENV, "mmap-truncate");
         let plan = install_from_env().unwrap().unwrap();
-        assert_eq!(plan.site, FaultSite::WorkerPanic);
+        assert_eq!(plan.site, FaultSite::MmapTruncate);
         std::env::remove_var(FAULT_PLAN_ENV);
-        install(None);
-    }
-
-    #[test]
-    fn shard_plan_filters_io_sites() {
-        let _guard = test_lock();
-        install(Some(FaultPlan::from_spec("journal-io:1").unwrap()));
-        assert!(shard_plan().is_none());
-        install(Some(FaultPlan::from_spec("worker-panic@r0.p0.s0").unwrap()));
-        assert!(shard_plan().is_some());
         install(None);
     }
 }

@@ -92,7 +92,6 @@ pub mod phase;
 pub mod probe;
 pub mod relocation;
 pub mod runner;
-pub mod shard;
 pub mod system;
 
 pub use config::{
@@ -105,5 +104,4 @@ pub use model::{Latencies, LatencyModel, NcTechnology};
 pub use phase::{LogHistogram, Phase, PhaseCounters, PhaseProfiler, PHASES};
 pub use probe::{EpochSample, Event, NoProbe, Probe, Tee};
 pub use runner::{run_workload, Report};
-pub use shard::{ShardEngine, ShardFault, ShardMsg, ShardReport, ShardTuning};
 pub use system::{ClusterOccupancy, OccupancySnapshot, System};

@@ -132,9 +132,9 @@ impl Metrics {
 
     /// Adds every counter of `other` into `self`.
     ///
-    /// This is the inverse of splitting a run into parts (per-epoch deltas,
-    /// per-shard partial runs): merging the parts in any order reproduces
-    /// the whole-run aggregate exactly, since all fields are plain sums.
+    /// This is the inverse of splitting a run into parts (per-epoch
+    /// deltas): merging the parts in any order reproduces the whole-run
+    /// aggregate exactly, since all fields are plain sums.
     pub fn merge(&mut self, other: &Metrics) {
         macro_rules! add_fields {
             ($($f:ident),*) => {{

@@ -251,7 +251,7 @@ impl Default for LogHistogram {
 
 /// Per-phase counters accumulated over a replay: event counts, estimated
 /// cycle contribution, cost/gap histograms, and per-cluster occupancy
-/// counts. Mergeable across shards/points like [`Metrics`].
+/// counts. Mergeable across points like [`Metrics`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PhaseCounters {
     counts: [u64; Phase::COUNT],
@@ -342,8 +342,7 @@ impl PhaseCounters {
     }
 
     /// Adds every counter, histogram and per-cluster row of `other` into
-    /// `self` (the shard/point merge; commutative like
-    /// [`Metrics::merge`]).
+    /// `self` (the per-point merge; commutative like [`Metrics::merge`]).
     pub fn merge(&mut self, other: &PhaseCounters) {
         for p in 0..Phase::COUNT {
             self.counts[p] += other.counts[p];

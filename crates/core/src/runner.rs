@@ -4,7 +4,6 @@ use crate::config::SystemSpec;
 use crate::metrics::Metrics;
 use crate::obs::{json::Json, metrics_json};
 use crate::probe::Probe;
-use crate::shard::ShardTuning;
 use crate::system::System;
 use dsm_trace::{Scale, SharedTrace, Workload};
 use dsm_types::{ConfigError, DsmError, Geometry, Topology};
@@ -220,7 +219,8 @@ pub fn run_workload_on(
 ///
 /// # Errors
 ///
-/// As [`run_workload`].
+/// As [`run_workload`], plus an error if the file backing a mapped trace
+/// has shrunk since it was opened (see [`revalidate`]).
 pub fn run_trace(
     spec: &SystemSpec,
     workload_name: &str,
@@ -233,61 +233,9 @@ pub fn run_trace(
         *trace.geometry(),
         data_bytes,
     )?;
+    revalidate(workload_name, trace)?;
     let t0 = std::time::Instant::now();
     system.run_shared(trace);
-    let mut report = report_of(&system, workload_name, data_bytes, trace.len() as u64);
-    report.wall_s = t0.elapsed().as_secs_f64();
-    Ok(report)
-}
-
-/// [`run_trace`] replaying through [`System::run_sharded`]: the replay is
-/// partitioned across up to `shard_workers` threads when the trace's
-/// sharing structure allows it, falling back to the single-threaded
-/// oracle path otherwise (see the [`crate::shard`] module docs). The
-/// report is identical to [`run_trace`]'s for any worker count; only
-/// [`Report::wall_s`] (excluded from comparisons and exports) differs.
-///
-/// # Errors
-///
-/// As [`run_workload`].
-pub fn run_trace_sharded(
-    spec: &SystemSpec,
-    workload_name: &str,
-    data_bytes: u64,
-    trace: &SharedTrace,
-    shard_workers: usize,
-) -> Result<Report, ConfigError> {
-    let mut system = System::new(
-        spec.clone(),
-        *trace.topology(),
-        *trace.geometry(),
-        data_bytes,
-    )?;
-    // Revalidate the mapped backing file at the shard handoff: the
-    // replay is about to fan the mapping out across worker threads, and
-    // a file truncated since open would SIGBUS there instead of
-    // erroring cleanly here (exit code 3 at the CLI).
-    trace
-        .revalidate_mapping()
-        .map_err(|e| ConfigError::new(format!("trace mapping for {workload_name}: {e}")))?;
-    let t0 = std::time::Instant::now();
-    system.run_sharded_with(trace, shard_workers, ShardTuning::from_env());
-    if let Some(r) = system.shard_report() {
-        // Stderr only: the shard-plan line is the no-silent-fallback
-        // probe CI greps for, and must stay out of the golden stdout.
-        // `degraded` is appended so supervised recovery is visible to
-        // the chaos harness without disturbing the grepped prefix.
-        eprintln!(
-            "shard plan [{workload_name}/{}]: engine={:?} workers={} rounds={} parallel={} serial={} degraded={}",
-            spec.name,
-            r.engine,
-            r.workers,
-            r.parallel_rounds,
-            r.parallel_refs,
-            r.serial_refs,
-            r.degraded.map_or("none", |f| f.label())
-        );
-    }
     let mut report = report_of(&system, workload_name, data_bytes, trace.len() as u64);
     report.wall_s = t0.elapsed().as_secs_f64();
     Ok(report)
@@ -304,7 +252,7 @@ pub fn run_trace_sharded(
 ///
 /// # Errors
 ///
-/// As [`run_workload`].
+/// As [`run_trace`].
 pub fn run_trace_probed<P: Probe>(
     spec: &SystemSpec,
     workload_name: &str,
@@ -323,6 +271,7 @@ pub fn run_trace_probed<P: Probe>(
     if let Some(window) = epoch_window {
         system.set_epoch_window(window);
     }
+    revalidate(workload_name, trace)?;
     let t0 = std::time::Instant::now();
     system.run_shared(trace);
     system.finish();
@@ -330,6 +279,16 @@ pub fn run_trace_probed<P: Probe>(
     report.wall_s = t0.elapsed().as_secs_f64();
     let (probe, _) = system.into_probe();
     Ok((report, probe))
+}
+
+/// Re-checks a mapped trace's backing file right before a replay: a file
+/// truncated since open would otherwise `SIGBUS` on the first touch of a
+/// vanished page instead of erroring cleanly (exit code 3 at the CLI).
+/// One `fstat` on a mapped trace, one enum match on an owned one.
+fn revalidate(workload_name: &str, trace: &SharedTrace) -> Result<(), ConfigError> {
+    trace
+        .revalidate_mapping()
+        .map_err(|e| ConfigError::new(format!("trace mapping for {workload_name}: {e}")))
 }
 
 /// Builds a [`Report`] from a finished system (useful when the caller
@@ -403,16 +362,41 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_matches_oracle_report() {
+    fn truncated_mapping_fails_the_replay_cleanly() {
+        use crate::fault::{install, test_lock, FaultPlan};
+        use crate::probe::NoProbe;
         use dsm_types::{Geometry, Topology};
         let fft = Fft::with_points(1 << 8);
         let topo = Topology::paper_default();
-        let geo = Geometry::paper_default();
-        let trace = SharedTrace::from_refs(topo, geo, &fft.generate(&topo, Scale::full()));
-        let a = run_trace(&SystemSpec::vb(), "fft", fft.shared_bytes(), &trace).unwrap();
-        let b = run_trace_sharded(&SystemSpec::vb(), "fft", fft.shared_bytes(), &trace, 4).unwrap();
-        // Identical whether the plan sharded or fell back to the oracle.
-        assert_eq!(a, b);
+        let trace = SharedTrace::from_refs(
+            topo,
+            Geometry::paper_default(),
+            &fft.generate(&topo, Scale::full()),
+        );
+        let mut bytes = Vec::new();
+        dsm_trace::write_shared(&mut bytes, &trace).unwrap();
+        let path = std::env::temp_dir().join(format!("dsm-runner-{}.dsmt", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let mapped = dsm_trace::open_shared_mapped(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let spec = SystemSpec::base();
+        let _guard = test_lock();
+        install(Some(FaultPlan::from_spec("mmap-truncate").unwrap()));
+        let truncated = run_trace(&spec, "fft", fft.shared_bytes(), &mapped);
+        let probed = run_trace_probed(&spec, "fft", fft.shared_bytes(), &mapped, NoProbe, None);
+        install(None);
+        // Only a kernel mapping has a backing file to re-check; platforms
+        // without the raw mmap path load an owned copy that always passes.
+        if mapped.is_mapped() {
+            let err = truncated.unwrap_err().to_string();
+            assert!(err.contains("mmap-truncate"), "{err}");
+            assert!(probed.is_err());
+        }
+        let clean = run_trace(&spec, "fft", fft.shared_bytes(), &mapped).unwrap();
+        assert_eq!(
+            clean,
+            run_trace(&spec, "fft", fft.shared_bytes(), &trace).unwrap()
+        );
     }
 
     #[test]

@@ -45,22 +45,18 @@ use crate::probe::{EpochSample, Event, NoProbe, Probe};
 /// ```
 #[derive(Debug, Clone)]
 pub struct System<P: Probe = NoProbe> {
-    // `pub(crate)` so the sibling `check` and `shard` modules can walk
-    // (and, for `shard`, merge) the machine state; external code still
-    // goes through the accessors.
+    // `pub(crate)` so the sibling `check` module can walk the machine
+    // state read-only; external code still goes through the accessors.
     pub(crate) spec: SystemSpec,
     pub(crate) topo: Topology,
     pub(crate) geo: Geometry,
     pub(crate) home: HomeMap,
     pub(crate) dir: DirectoryUnit,
-    pub(crate) rnuma: RnumaCounters,
+    rnuma: RnumaCounters,
     pub(crate) clusters: Vec<ClusterUnit>,
-    pub(crate) metrics: Metrics,
-    pub(crate) per_cluster: Vec<ClusterCounts>,
-    pub(crate) migrep: Option<MigRepState>,
-    /// How the most recent `run_sharded` call executed (`None` until
-    /// one runs) — the probe the no-silent-fallback assertions read.
-    pub(crate) shard_report: Option<crate::shard::ShardReport>,
+    metrics: Metrics,
+    per_cluster: Vec<ClusterCounts>,
+    migrep: Option<MigRepState>,
     model: LatencyModel,
     probe: P,
     epoch: Option<EpochState>,
@@ -131,7 +127,7 @@ impl OccupancySnapshot {
 
 /// Runtime state of the Origin-style OS page policies.
 #[derive(Debug, Clone)]
-pub(crate) struct MigRepState {
+struct MigRepState {
     spec: MigRepSpec,
     /// Per-page per-cluster remote-miss counters (same hardware R-NUMA
     /// assumes, repurposed for the OS policy).
@@ -207,7 +203,6 @@ impl<P: Probe> System<P> {
             clusters,
             metrics: Metrics::new(),
             migrep,
-            shard_report: None,
             model,
             spec,
             topo,
@@ -341,16 +336,6 @@ impl<P: Probe> System<P> {
     #[must_use]
     pub fn model(&self) -> &LatencyModel {
         &self.model
-    }
-
-    /// How the most recent `run_sharded` call on this system executed:
-    /// which engine ran, how many workers engaged, and the
-    /// parallel/serial split. `None` until a sharded run happens.
-    /// Callers (and CI) use this to assert that a workload did *not*
-    /// silently fall back to the single-threaded oracle.
-    #[must_use]
-    pub fn shard_report(&self) -> Option<crate::shard::ShardReport> {
-        self.shard_report
     }
 
     /// The machine topology.
@@ -496,34 +481,6 @@ impl<P: Probe> System<P> {
                 self.process_decoded(*d);
             }
             start += n;
-        }
-    }
-
-    /// Replays the half-open trace range `[start, end)` with the same
-    /// batched decode + one-batch-ahead prefetch discipline as
-    /// [`System::run_shared`] — the serial-segment primitive of the
-    /// intra-component sharded engine (`crate::shard::rounds`). Requires
-    /// static homes, which the sharded engine's eligibility check
-    /// already guarantees.
-    pub(crate) fn replay_range(&mut self, trace: &SharedTrace, start: usize, end: usize) {
-        debug_assert!(end <= trace.len());
-        let mut batch = [DecodedRef::default(); BATCH];
-        let mut pos = start;
-        while pos < end {
-            let want = (end - pos).min(BATCH);
-            let n = trace.decode_batch(pos, &mut batch[..want]);
-            if n == 0 {
-                break;
-            }
-            // Peeking past `end` only issues prefetch hints for lines
-            // the next segment will touch; state is unchanged.
-            trace.peek_batch(pos + n, BATCH, |cl, lp, block| {
-                self.prefetch_line(cl, lp, block);
-            });
-            for d in &batch[..n] {
-                self.process_decoded(*d);
-            }
-            pos += n;
         }
     }
 

@@ -338,63 +338,6 @@ impl FullMapDirectory {
             .filter(|e| e.presence != 0 || e.owner != NO_OWNER)
             .count()
     }
-
-    /// Merges `other`'s live entries into this directory. The two
-    /// directories must track **disjoint** block sets (the sharded-replay
-    /// invariant: each shard owns the blocks of its own pages); a block
-    /// live in both trips a debug assertion, and in release the absorbed
-    /// entry wins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the directories serve different cluster counts.
-    pub fn absorb_disjoint(&mut self, other: &FullMapDirectory) {
-        assert_eq!(
-            self.clusters, other.clusters,
-            "cannot merge directories of different machines"
-        );
-        for (i, e) in other.entries.iter().enumerate() {
-            if e.presence == 0 && e.owner == NO_OWNER {
-                continue;
-            }
-            let slot = self.entry_mut(BlockAddr(i as u64));
-            debug_assert!(
-                slot.presence == 0 && slot.owner == NO_OWNER,
-                "block {i} tracked by both directories"
-            );
-            *slot = *e;
-        }
-    }
-
-    /// Overwrites this directory's entry for `block` with `other`'s — the
-    /// per-ownership entry copy of the intra-component sharded merge,
-    /// where `other` (the owning worker's clone) is authoritative for
-    /// every block homed in its partition. A block `other` never grew
-    /// storage for is reset to the empty entry here too, so the copy is
-    /// exact rather than additive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the directories describe different machines.
-    pub fn copy_entry_from(&mut self, other: &FullMapDirectory, block: BlockAddr) {
-        assert_eq!(
-            self.clusters, other.clusters,
-            "cannot copy entries across different machines"
-        );
-        match other.entry(block) {
-            Some(e) if e.presence != 0 || e.owner != NO_OWNER => *self.entry_mut(block) = e,
-            // Empty (or never-grown) on the authoritative side: clear
-            // our slot if we have one, without growing the table.
-            _ => {
-                if let Some(slot) = usize::try_from(block.0)
-                    .ok()
-                    .and_then(|i| self.entries.get_mut(i))
-                {
-                    *slot = Entry::default();
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

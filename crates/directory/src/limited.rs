@@ -219,59 +219,6 @@ impl LimitedPointerDirectory {
             .count()
     }
 
-    /// Merges `other`'s live entries into this directory. The two
-    /// directories must track **disjoint** block sets (the sharded-replay
-    /// invariant); a block live in both trips a debug assertion, and in
-    /// release the absorbed entry wins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the directories differ in cluster count or pointer width.
-    pub fn absorb_disjoint(&mut self, other: &LimitedPointerDirectory) {
-        assert_eq!(
-            (self.clusters, self.pointers),
-            (other.clusters, other.pointers),
-            "cannot merge directories of different shapes"
-        );
-        for (block, e) in other.entries.iter() {
-            if e.count() == 0 && !e.broadcast() && e.owner().is_none() {
-                continue;
-            }
-            debug_assert!(
-                self.entries.get(block).is_none_or(|mine| mine.count() == 0
-                    && !mine.broadcast()
-                    && mine.owner().is_none()),
-                "block {block} tracked by both directories"
-            );
-            self.entries.insert(block, *e);
-        }
-    }
-
-    /// Overwrites this directory's entry for `block` with `other`'s — the
-    /// per-ownership entry copy of the intra-component sharded merge,
-    /// where `other` (the owning worker's clone) is authoritative for
-    /// every block homed in its partition. A block `other` does not
-    /// track is dropped here too, so the copy is exact.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the directories differ in cluster count or pointer width.
-    pub fn copy_entry_from(&mut self, other: &LimitedPointerDirectory, block: BlockAddr) {
-        assert_eq!(
-            (self.clusters, self.pointers),
-            (other.clusters, other.pointers),
-            "cannot copy entries across directories of different shapes"
-        );
-        match other.entries.get(block.0) {
-            Some(e) => {
-                self.entries.insert(block.0, *e);
-            }
-            None => {
-                self.entries.remove(block.0);
-            }
-        }
-    }
-
     fn check(&self, cluster: ClusterId) {
         assert!(
             cluster.0 < self.clusters,

@@ -82,35 +82,6 @@ impl RnumaCounters {
         self.counts.values().filter(|&&c| c > 0).count()
     }
 
-    /// Replaces this table's counters for every page `owned` selects
-    /// with `other`'s counters for those pages, leaving the rest
-    /// untouched — the per-ownership merge of the intra-component
-    /// sharded replay, where `other` (the owning worker's clone) is
-    /// authoritative for the pages homed in its partition.
-    pub fn adopt_pages(&mut self, other: &RnumaCounters, mut owned: impl FnMut(PageAddr) -> bool) {
-        self.counts.retain(|&(page, _), _| !owned(PageAddr(page)));
-        for (&(page, cluster), &count) in &other.counts {
-            if owned(PageAddr(page)) {
-                self.counts.insert((page, cluster), count);
-            }
-        }
-    }
-
-    /// Merges `other`'s counters into this table; the two must cover
-    /// disjoint `(page, cluster)` pairs (the sharded-replay merge step,
-    /// where first-touch homing keeps each shard's pages private to it).
-    pub fn absorb_disjoint(&mut self, other: &RnumaCounters) {
-        for (&key, &count) in &other.counts {
-            let prev = self.counts.insert(key, count);
-            debug_assert!(
-                prev.is_none(),
-                "page {} / cluster {} counted by both shards",
-                key.0,
-                key.1
-            );
-        }
-    }
-
     /// The memory overhead of a *full-map* hardware realization of this
     /// scheme: one counter byte per cluster per page, expressed as a
     /// fraction of the memory left for data. For 256 clusters and 4-KB
@@ -171,36 +142,6 @@ mod tests {
         c.increment(P, C);
         assert_eq!(c.decrement(P, C), 0);
         assert_eq!(c.decrement(P, C), 0);
-    }
-
-    #[test]
-    fn absorb_disjoint_unions_counters() {
-        let mut a = RnumaCounters::new();
-        a.increment(P, C);
-        a.increment(P, C);
-        let mut b = RnumaCounters::new();
-        b.increment(PageAddr(8), ClusterId(0));
-        a.absorb_disjoint(&b);
-        assert_eq!(a.count(P, C), 2);
-        assert_eq!(a.count(PageAddr(8), ClusterId(0)), 1);
-        assert_eq!(a.live_counters(), 2);
-    }
-
-    #[test]
-    fn adopt_pages_replaces_owned_counters_exactly() {
-        let mut main = RnumaCounters::new();
-        main.increment(P, C); // stale counter on an owned page
-        main.increment(PageAddr(9), C); // unowned: must survive
-        let mut worker = RnumaCounters::new();
-        worker.increment(P, C);
-        worker.increment(P, C);
-        worker.increment(P, ClusterId(0));
-        worker.increment(PageAddr(9), ClusterId(0)); // unowned: ignored
-        main.adopt_pages(&worker, |page| page == P);
-        assert_eq!(main.count(P, C), 2);
-        assert_eq!(main.count(P, ClusterId(0)), 1);
-        assert_eq!(main.count(PageAddr(9), C), 1);
-        assert_eq!(main.count(PageAddr(9), ClusterId(0)), 0);
     }
 
     #[test]

@@ -147,39 +147,6 @@ impl DirectoryUnit {
         }
     }
 
-    /// Merges `other`'s live entries into this directory; the two must
-    /// track disjoint block sets (the sharded-replay merge step).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the directories are of different organizations or shapes.
-    pub fn absorb_disjoint(&mut self, other: &DirectoryUnit) {
-        match (self, other) {
-            (DirectoryUnit::FullMap(a), DirectoryUnit::FullMap(b)) => a.absorb_disjoint(b),
-            (DirectoryUnit::LimitedPointer(a), DirectoryUnit::LimitedPointer(b)) => {
-                a.absorb_disjoint(b);
-            }
-            _ => panic!("cannot merge directories of different organizations"),
-        }
-    }
-
-    /// Overwrites this directory's entry for `block` with `other`'s
-    /// (dropping it if `other` does not track the block) — the exact
-    /// per-ownership entry copy of the intra-component sharded merge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the directories are of different organizations or shapes.
-    pub fn copy_entry_from(&mut self, other: &DirectoryUnit, block: BlockAddr) {
-        match (self, other) {
-            (DirectoryUnit::FullMap(a), DirectoryUnit::FullMap(b)) => a.copy_entry_from(b, block),
-            (DirectoryUnit::LimitedPointer(a), DirectoryUnit::LimitedPointer(b)) => {
-                a.copy_entry_from(b, block);
-            }
-            _ => panic!("cannot copy entries across directories of different organizations"),
-        }
-    }
-
     /// Silently clears `cluster`'s presence bit — a deliberate corruption
     /// primitive for exercising the coherence invariant checker (the
     /// protocol itself never forgets a sharer). Full-map only.
@@ -226,28 +193,5 @@ mod tests {
     fn kind_query() {
         assert!(DirectoryUnit::full_map(8).is_full_map());
         assert!(!DirectoryUnit::limited(8, 2).is_full_map());
-    }
-
-    #[test]
-    fn copy_entry_overwrites_and_clears() {
-        for (mut main, mut owner) in [
-            (DirectoryUnit::full_map(4), DirectoryUnit::full_map(4)),
-            (DirectoryUnit::limited(4, 2), DirectoryUnit::limited(4, 2)),
-        ] {
-            let b = BlockAddr(7);
-            // Main holds a stale view; the owner's clone diverged.
-            main.read(b, ClusterId(0));
-            owner.read(b, ClusterId(0));
-            owner.write(b, ClusterId(2));
-            main.copy_entry_from(&owner, b);
-            assert_eq!(main.owner_of(b), Some(ClusterId(2)));
-            assert_eq!(main.sharers(b), vec![ClusterId(2)]);
-            // A block the owner never touched is cleared on copy.
-            let c = BlockAddr(8);
-            main.write(c, ClusterId(1));
-            main.copy_entry_from(&owner, c);
-            assert_eq!(main.owner_of(c), None);
-            assert!(main.sharers(c).is_empty());
-        }
     }
 }

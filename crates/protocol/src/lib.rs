@@ -37,9 +37,7 @@
 
 pub mod bus;
 pub mod mesir;
-pub mod remote;
 pub mod transaction;
 
 pub use bus::{BusCluster, BusStats};
-pub use remote::RemoteDirOp;
 pub use transaction::{InvalidationResult, PeerReadSupply, PeerWriteSupply};

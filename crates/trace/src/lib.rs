@@ -61,6 +61,6 @@ pub use interleave::PhaseBuilder;
 pub use layout::{Layout, Region};
 pub use mmap::Mapping;
 pub use scale::Scale;
-pub use shared::{ClusterPartition, ShardPlan, SharedTrace, BATCH};
+pub use shared::{SharedTrace, BATCH};
 pub use stats::TraceStats;
 pub use workload::{Workload, WorkloadKind};

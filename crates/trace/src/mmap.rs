@@ -95,8 +95,8 @@ impl Mapping {
     /// Re-checks (fstat) that the mapped file still covers the mapped
     /// length. Reading pages of a file that shrank after mapping faults
     /// the process (SIGBUS), so callers revalidate at parse time and
-    /// again before handing the mapping to shard workers, turning a
-    /// concurrent truncation into a clean error instead of a crash.
+    /// again before each replay of the trace, turning a concurrent
+    /// truncation into a clean error instead of a crash.
     /// Owned backings hold a private copy and always pass. The window
     /// between this check and the read is irreducible without copying;
     /// the check catches the realistic failure (the file was rewritten

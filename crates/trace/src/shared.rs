@@ -36,10 +36,6 @@
 //! loading is zero-copy — the file's address column *is* the replay
 //! column, multi-gigabyte traces start instantly, and every sweep worker
 //! shares the same physical pages read-only.
-//!
-//! The home column also makes partitioning a trace by home cluster — the
-//! unit of the sharded simulator — a single column scan
-//! ([`SharedTrace::shard_by_home`]).
 
 use std::sync::Arc;
 
@@ -548,223 +544,6 @@ impl SharedTrace {
         }
     }
 
-    /// [`SharedTrace::peek_batch`] over *listed trace positions* (a
-    /// gather) — the sharded replay's prefetch peek, visiting at most
-    /// `len` of `indices`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of range.
-    #[inline]
-    pub fn peek_gather(
-        &self,
-        indices: &[u32],
-        len: usize,
-        mut f: impl FnMut(ClusterId, LocalProcId, BlockAddr),
-    ) {
-        let n = len.min(indices.len());
-        let block_shift = self.geo.block_bytes().trailing_zeros();
-        let ppc = self.topo.procs_per_cluster();
-        for &i in &indices[..n] {
-            let i = i as usize;
-            let cl = u16::from(self.issuing_cluster[i]);
-            let lp = if self.wide_proc.is_empty() {
-                u16::from(self.proc_op[i] & PROC_MASK) - cl * ppc
-            } else {
-                self.wide_proc[i] - cl * ppc
-            };
-            f(
-                ClusterId(cl),
-                LocalProcId(lp),
-                BlockAddr(self.addr.at(i) >> block_shift),
-            );
-        }
-    }
-
-    /// Partitions the trace by home cluster: `result[c]` lists the
-    /// indices of every reference whose page is homed at cluster `c`, in
-    /// trace order — one scan of the precomputed `home_cluster` column.
-    /// This is the work split of the per-cluster sharded simulator (each
-    /// shard owns the directory state of its home cluster's pages).
-    #[must_use]
-    pub fn shard_by_home(&self) -> Vec<Vec<u32>> {
-        let mut shards = vec![Vec::new(); usize::from(self.topo.clusters())];
-        for (i, &h) in self.home_cluster.iter().enumerate() {
-            shards[usize::from(h)].push(u32::try_from(i).expect("trace indices fit u32"));
-        }
-        shards
-    }
-
-    /// Decodes up to `out.len()` references *from the listed trace
-    /// positions* (a gather), returning how many were decoded. The
-    /// sharded replay engine walks a [`ShardPlan`] shard's index list
-    /// through this in [`BATCH`]-sized windows; semantics per entry are
-    /// identical to [`SharedTrace::decode_batch`] at that index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of range.
-    #[inline]
-    pub fn decode_gather(&self, indices: &[u32], out: &mut [DecodedRef]) -> usize {
-        let n = out.len().min(indices.len());
-        let block_shift = self.geo.block_bytes().trailing_zeros();
-        let page_shift = self.geo.page_bytes().trailing_zeros();
-        let ppc = self.topo.procs_per_cluster();
-        if self.wide_proc.is_empty() {
-            for (slot, &i) in out[..n].iter_mut().zip(indices) {
-                let i = i as usize;
-                let packed = self.proc_op[i];
-                let cl = u16::from(self.issuing_cluster[i]);
-                let a = self.addr.at(i);
-                *slot = DecodedRef {
-                    cluster: ClusterId(cl),
-                    lproc: LocalProcId(u16::from(packed & PROC_MASK) - cl * ppc),
-                    write: packed & OP_BIT != 0,
-                    first_touch: packed & FIRST_TOUCH_BIT != 0,
-                    block: BlockAddr(a >> block_shift),
-                    page: PageAddr(a >> page_shift),
-                    home: ClusterId(u16::from(self.home_cluster[i])),
-                };
-            }
-        } else {
-            for (slot, &i) in out[..n].iter_mut().zip(indices) {
-                let i = i as usize;
-                let packed = self.proc_op[i];
-                let cl = u16::from(self.issuing_cluster[i]);
-                let a = self.addr.at(i);
-                *slot = DecodedRef {
-                    cluster: ClusterId(cl),
-                    lproc: LocalProcId(self.wide_proc[i] - cl * ppc),
-                    write: packed & OP_BIT != 0,
-                    first_touch: packed & FIRST_TOUCH_BIT != 0,
-                    block: BlockAddr(a >> block_shift),
-                    page: PageAddr(a >> page_shift),
-                    home: ClusterId(u16::from(self.home_cluster[i])),
-                };
-            }
-        }
-        n
-    }
-
-    /// Computes the trace's independent-shard decomposition: the
-    /// connected components of the *cluster sharing graph*, where two
-    /// clusters are connected iff some page is referenced by both.
-    ///
-    /// Under first-touch placement every page is homed at a cluster that
-    /// references it, so a component's pages are homed inside the
-    /// component and every piece of machine state a component's
-    /// references can touch — its clusters' caches/NC/PC/bus, the
-    /// directory entries and placement slots of its pages, its relocation
-    /// counters — is disjoint from every other component's. Each shard
-    /// can therefore replay independently (in trace order within the
-    /// shard) and merge back to *exactly* the serial result; see
-    /// `System::run_sharded`.
-    ///
-    /// Shards are numbered by the trace position of their earliest
-    /// reference, so the decomposition (and everything merged in shard
-    /// order) is deterministic.
-    #[must_use]
-    pub fn shard_plan(&self) -> ShardPlan {
-        let clusters = usize::from(self.topo.clusters());
-        let page_shift = self.geo.page_bytes().trailing_zeros();
-        // Union-find over the (≤ 256) clusters, keyed by shared pages.
-        let mut parent: Vec<u16> = (0..clusters)
-            .map(|c| u16::try_from(c).expect("clusters fit u16"))
-            .collect();
-        fn find(parent: &mut [u16], mut c: u16) -> u16 {
-            while parent[usize::from(c)] != c {
-                let gp = parent[usize::from(parent[usize::from(c)])];
-                parent[usize::from(c)] = gp; // path halving
-                c = gp;
-            }
-            c
-        }
-        // Page -> some cluster already seen referencing it. The first
-        // toucher seeds the entry; every later accessor unions with it.
-        let mut page_rep: DenseMap<u8> = DenseMap::new();
-        for (i, &c) in self.issuing_cluster.iter().enumerate() {
-            let page = self.addr.at(i) >> page_shift;
-            match page_rep.get(page) {
-                Some(&rep) => {
-                    let (a, b) = (
-                        find(&mut parent, u16::from(c)),
-                        find(&mut parent, u16::from(rep)),
-                    );
-                    if a != b {
-                        parent[usize::from(a.max(b))] = a.min(b);
-                    }
-                }
-                None => {
-                    page_rep.insert(page, c);
-                }
-            }
-        }
-        // Number shards by earliest reference, then gather index lists.
-        let mut shard_of_root = vec![usize::MAX; clusters];
-        let mut shard_of_cluster = vec![usize::MAX; clusters];
-        let mut shards: Vec<Vec<u32>> = Vec::new();
-        for (i, &c) in self.issuing_cluster.iter().enumerate() {
-            let root = usize::from(find(&mut parent, u16::from(c)));
-            let shard = if shard_of_root[root] == usize::MAX {
-                shard_of_root[root] = shards.len();
-                shards.push(Vec::new());
-                shards.len() - 1
-            } else {
-                shard_of_root[root]
-            };
-            shard_of_cluster[usize::from(c)] = shard;
-            shards[shard].push(u32::try_from(i).expect("trace indices fit u32"));
-        }
-        ShardPlan {
-            shards,
-            shard_of_cluster,
-        }
-    }
-
-    /// Partitions the machine's *active* clusters (those issuing at
-    /// least one reference) into at most `parts` balanced groups by
-    /// per-cluster reference count — the work split of the
-    /// intra-component round-based replay engine, where each worker owns
-    /// a group of clusters plus every page they home.
-    ///
-    /// Balancing is greedy longest-processing-time: clusters are taken
-    /// in descending reference count (ties broken by ascending cluster
-    /// id) and each is assigned to the currently lightest part (ties
-    /// broken by ascending part index), so the plan is deterministic for
-    /// a given trace. Clusters issuing no references stay unassigned —
-    /// their state is pristine and needs no owner.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is zero.
-    #[must_use]
-    pub fn cluster_partition(&self, parts: usize) -> ClusterPartition {
-        assert!(parts > 0, "parts must be positive");
-        let clusters = usize::from(self.topo.clusters());
-        let mut refs_of_cluster = vec![0u64; clusters];
-        for &c in &self.issuing_cluster {
-            refs_of_cluster[usize::from(c)] += 1;
-        }
-        let mut active: Vec<usize> = (0..clusters).filter(|&c| refs_of_cluster[c] > 0).collect();
-        let parts = parts.min(active.len()).max(1);
-        // Descending count, ascending cluster id on ties.
-        active.sort_by_key(|&c| (std::cmp::Reverse(refs_of_cluster[c]), c));
-        let mut part_of_cluster = vec![usize::MAX; clusters];
-        let mut load = vec![0u64; parts];
-        for c in active {
-            let lightest = (0..parts)
-                .min_by_key(|&p| (load[p], p))
-                .expect("parts is positive");
-            part_of_cluster[c] = lightest;
-            load[lightest] += refs_of_cluster[c];
-        }
-        ClusterPartition {
-            parts,
-            part_of_cluster,
-            refs_of_part: load,
-        }
-    }
-
     /// Heap bytes held by the columns — the footprint quantity
     /// EXPERIMENTS.md tracks against the 16 padded bytes per reference of
     /// the array-of-structs form. A mapped address column contributes
@@ -773,120 +552,6 @@ impl SharedTrace {
     #[must_use]
     pub fn column_bytes(&self) -> usize {
         self.addr.heap_bytes() + self.proc_op.len() * (1 + 1 + 1) + self.wide_proc.len() * 2
-    }
-}
-
-/// The independent-shard decomposition of one trace (see
-/// [`SharedTrace::shard_plan`]): per-shard reference index lists, each
-/// in ascending trace order, plus the cluster → shard ownership map the
-/// merge step uses to decide which worker's copy of a cluster unit is
-/// authoritative.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardPlan {
-    /// `shards[s]` = trace indices of shard `s`'s references, ascending.
-    shards: Vec<Vec<u32>>,
-    /// `shard_of_cluster[c]` = the shard owning cluster `c`, or
-    /// `usize::MAX` for a cluster issuing no references.
-    shard_of_cluster: Vec<usize>,
-}
-
-impl ShardPlan {
-    /// The per-shard reference index lists, in shard order (shards are
-    /// numbered by their earliest reference's trace position).
-    #[must_use]
-    pub fn shards(&self) -> &[Vec<u32>] {
-        &self.shards
-    }
-
-    /// Number of independent shards. A value of 1 means the whole trace
-    /// is one sharing component and sharded replay degenerates to the
-    /// serial path.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Whether the plan has no shards (empty trace).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// The shard owning cluster `c` (`None` if no reference is issued by
-    /// `c` — such a cluster's state stays pristine and needs no merge).
-    #[must_use]
-    pub fn shard_of_cluster(&self, c: usize) -> Option<usize> {
-        match self.shard_of_cluster.get(c) {
-            Some(&s) if s != usize::MAX => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The clusters owned by shard `s`, ascending.
-    #[must_use]
-    pub fn clusters_of(&self, s: usize) -> Vec<usize> {
-        self.shard_of_cluster
-            .iter()
-            .enumerate()
-            .filter_map(|(c, &owner)| (owner == s).then_some(c))
-            .collect()
-    }
-}
-
-/// A balanced assignment of active clusters to replay workers (see
-/// [`SharedTrace::cluster_partition`]). Unlike [`ShardPlan`], the groups
-/// are *not* coherence-independent: the round-based engine that consumes
-/// this plan is responsible for keeping cross-part references exact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterPartition {
-    /// Number of parts actually formed (≤ requested, ≥ 1 when any
-    /// cluster is active).
-    parts: usize,
-    /// `part_of_cluster[c]` = owning part, or `usize::MAX` if cluster
-    /// `c` issues no references.
-    part_of_cluster: Vec<usize>,
-    /// Total references issued by each part's clusters.
-    refs_of_part: Vec<u64>,
-}
-
-impl ClusterPartition {
-    /// Number of parts formed.
-    #[must_use]
-    pub fn parts(&self) -> usize {
-        self.parts
-    }
-
-    /// The part owning cluster `c`, or `None` for a cluster that issues
-    /// no references (its state stays pristine).
-    #[must_use]
-    pub fn part_of_cluster(&self, c: usize) -> Option<usize> {
-        match self.part_of_cluster.get(c) {
-            Some(&p) if p != usize::MAX => Some(p),
-            _ => None,
-        }
-    }
-
-    /// The raw cluster → part table (`usize::MAX` = unassigned), sized
-    /// to the machine's cluster count.
-    #[must_use]
-    pub fn part_table(&self) -> &[usize] {
-        &self.part_of_cluster
-    }
-
-    /// The clusters owned by part `p`, ascending.
-    #[must_use]
-    pub fn clusters_of(&self, p: usize) -> Vec<usize> {
-        self.part_of_cluster
-            .iter()
-            .enumerate()
-            .filter_map(|(c, &owner)| (owner == p).then_some(c))
-            .collect()
-    }
-
-    /// Total references issued by part `p`'s clusters.
-    #[must_use]
-    pub fn refs_of_part(&self, p: usize) -> u64 {
-        self.refs_of_part[p]
     }
 }
 
@@ -1069,14 +734,6 @@ mod tests {
             assert_eq!(a[..n], b[..n]);
             start += n;
         }
-        let indices: Vec<u32> = (0..200).rev().step_by(7).collect();
-        let mut ga = vec![DecodedRef::default(); indices.len()];
-        let mut gb = vec![DecodedRef::default(); indices.len()];
-        assert_eq!(owned.decode_gather(&indices, &mut ga), indices.len());
-        assert_eq!(mapped.decode_gather(&indices, &mut gb), indices.len());
-        assert_eq!(ga, gb);
-        assert_eq!(owned.shard_plan(), mapped.shard_plan());
-        assert_eq!(owned.shard_by_home(), mapped.shard_by_home());
     }
 
     #[test]
@@ -1098,129 +755,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_partition_by_home_column() {
-        let s = shared();
-        let shards = s.shard_by_home();
-        assert_eq!(shards.len(), 8);
-        // Pages 1 and 2 homed at cluster 2 (refs 0, 2, 3); page 0 at 0.
-        assert_eq!(shards[2], vec![0, 2, 3]);
-        assert_eq!(shards[0], vec![1, 4]);
-        let total: usize = shards.iter().map(Vec::len).sum();
-        assert_eq!(total, s.len());
-    }
-
-    #[test]
-    fn shard_plan_splits_disjoint_sharing_components() {
-        // Paper topology: 4 procs per cluster. Clusters {0,2} share page
-        // 7 (procs 1 and 9); cluster 1 (proc 5) touches only page 3.
-        let refs = vec![
-            MemRef::read(ProcId(1), Addr(7 * 4096)),
-            MemRef::write(ProcId(5), Addr(3 * 4096)),
-            MemRef::read(ProcId(9), Addr(7 * 4096 + 64)),
-            MemRef::read(ProcId(5), Addr(3 * 4096 + 128)),
-            MemRef::write(ProcId(1), Addr(7 * 4096 + 64)),
-        ];
-        let s = SharedTrace::from_refs(Topology::paper_default(), Geometry::paper_default(), &refs);
-        let plan = s.shard_plan();
-        assert_eq!(plan.len(), 2);
-        assert!(!plan.is_empty());
-        // Shard 0 starts at ref 0 (clusters 0+2); shard 1 at ref 1.
-        assert_eq!(plan.shards()[0], vec![0, 2, 4]);
-        assert_eq!(plan.shards()[1], vec![1, 3]);
-        assert_eq!(plan.shard_of_cluster(0), Some(0));
-        assert_eq!(plan.shard_of_cluster(2), Some(0));
-        assert_eq!(plan.shard_of_cluster(1), Some(1));
-        assert_eq!(plan.shard_of_cluster(3), None);
-        assert_eq!(plan.clusters_of(0), vec![0, 2]);
-        assert_eq!(plan.clusters_of(1), vec![1]);
-        // Every reference lands in exactly one shard.
-        let total: usize = plan.shards().iter().map(Vec::len).sum();
-        assert_eq!(total, s.len());
-    }
-
-    #[test]
-    fn shard_plan_collapses_transitive_sharing() {
-        // Cluster 0 shares page 1 with cluster 1; cluster 1 shares page 2
-        // with cluster 2: all three form one component transitively.
-        let refs = vec![
-            MemRef::read(ProcId(0), Addr(4096)),
-            MemRef::read(ProcId(4), Addr(4096)),
-            MemRef::read(ProcId(4), Addr(2 * 4096)),
-            MemRef::read(ProcId(8), Addr(2 * 4096)),
-        ];
-        let s = SharedTrace::from_refs(Topology::paper_default(), Geometry::paper_default(), &refs);
-        let plan = s.shard_plan();
-        assert_eq!(plan.len(), 1);
-        assert_eq!(plan.shards()[0], vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn shard_plan_of_empty_trace_is_empty() {
-        let s = SharedTrace::from_refs(Topology::paper_default(), Geometry::paper_default(), &[]);
-        let plan = s.shard_plan();
-        assert!(plan.is_empty());
-        assert_eq!(plan.shard_of_cluster(0), None);
-    }
-
-    #[test]
-    fn decode_gather_matches_positional_decode() {
-        let topo = Topology::paper_default();
-        let geo = Geometry::paper_default();
-        let refs: Vec<MemRef> = (0..50u64)
-            .map(|i| {
-                let p = ProcId((i % 32) as u16);
-                if i % 3 == 0 {
-                    MemRef::write(p, Addr(i * 256))
-                } else {
-                    MemRef::read(p, Addr(i * 64))
-                }
-            })
-            .collect();
-        let s = SharedTrace::from_refs(topo, geo, &refs);
-        let mut all = vec![DecodedRef::default(); 50];
-        let mut start = 0;
-        while start < 50 {
-            start += s.decode_batch(start, &mut all[start..]);
-        }
-        let indices: Vec<u32> = vec![3, 7, 7, 49, 0, 12];
-        let mut out = [DecodedRef::default(); BATCH];
-        let n = s.decode_gather(&indices, &mut out);
-        assert_eq!(n, indices.len());
-        for (d, &i) in out[..n].iter().zip(&indices) {
-            assert_eq!(*d, all[i as usize], "index {i}");
-        }
-        // The gather respects the output window like decode_batch does.
-        let mut two = [DecodedRef::default(); 2];
-        assert_eq!(s.decode_gather(&indices, &mut two), 2);
-        assert_eq!(s.decode_gather(&[], &mut out), 0);
-    }
-
-    #[test]
-    fn shard_plan_replays_cover_gather_windows() {
-        // A plan's shard walked through decode_gather in BATCH windows
-        // yields the shard's refs in trace order.
-        let refs: Vec<MemRef> = (0..40u64)
-            .map(|i| MemRef::read(ProcId((i % 8) as u16), Addr((i % 8) * 4096 + i * 64)))
-            .collect();
-        let s = SharedTrace::from_refs(Topology::paper_default(), Geometry::paper_default(), &refs);
-        let plan = s.shard_plan();
-        assert_eq!(plan.len(), 2, "procs 0-3 -> cluster 0, 4-7 -> cluster 1");
-        let mut seen = Vec::new();
-        for shard in plan.shards() {
-            let mut window = 0;
-            let mut out = [DecodedRef::default(); BATCH];
-            while window < shard.len() {
-                let n = s.decode_gather(&shard[window..], &mut out);
-                assert!(n > 0);
-                window += n;
-            }
-            seen.extend_from_slice(shard);
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, (0..40u32).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn column_bytes_track_the_footprint() {
         // 11 bytes per reference owned (addr 8 + packed 1 + two cluster
         // bytes); block/page are shifts, not columns.
@@ -1235,41 +769,6 @@ mod tests {
         // A mapped address column costs no heap: 3 bytes/ref remain.
         let mapped = remap_addr_column(&s);
         assert_eq!(mapped.column_bytes(), 5 * 3);
-    }
-
-    #[test]
-    fn cluster_partition_balances_by_ref_count() {
-        let topo = Topology::new(4, 4).unwrap();
-        let geo = Geometry::paper_default();
-        // Cluster loads 40/30/20/10: LPT into two parts gives {0,10=c3}
-        // and {30=c1,20=c2} → loads 50/50.
-        let mut refs = Vec::new();
-        for (c, n) in [(0u16, 40u64), (1, 30), (2, 20), (3, 10)] {
-            for i in 0..n {
-                refs.push(MemRef::read(
-                    ProcId(c * 4),
-                    Addr((u64::from(c) * 1024 + i % 4) * geo.page_bytes()),
-                ));
-            }
-        }
-        let trace = SharedTrace::from_refs(topo, geo, &refs);
-        let p = trace.cluster_partition(2);
-        assert_eq!(p.parts(), 2);
-        assert_eq!(p.part_of_cluster(0), Some(0));
-        assert_eq!(p.part_of_cluster(1), Some(1));
-        assert_eq!(p.part_of_cluster(2), Some(1));
-        assert_eq!(p.part_of_cluster(3), Some(0));
-        assert_eq!(p.refs_of_part(0), 50);
-        assert_eq!(p.refs_of_part(1), 50);
-        assert_eq!(p.clusters_of(1), vec![1, 2]);
-        // More parts than active clusters clamps; idle clusters stay
-        // unassigned.
-        let solo = SharedTrace::from_refs(topo, geo, &refs[..3]);
-        let q = solo.cluster_partition(8);
-        assert_eq!(q.parts(), 1);
-        assert_eq!(q.part_of_cluster(0), Some(0));
-        assert_eq!(q.part_of_cluster(3), None);
-        assert_eq!(q.part_table()[3], usize::MAX);
     }
 
     #[test]

@@ -57,8 +57,8 @@ pub enum ErrorKind {
     /// The coherence invariant checker found corrupt protocol state
     /// (exit code 4 — the output cannot be trusted).
     InvariantViolation,
-    /// A supervised operation exceeded its deadline — a stalled worker,
-    /// a hung subprocess (exit code 4 — the run did not complete).
+    /// A supervised operation exceeded its deadline — a hung subprocess
+    /// (exit code 4 — the run did not complete).
     Stalled,
 }
 
@@ -151,8 +151,7 @@ impl DsmError {
         Self::new(ErrorKind::InvariantViolation, message)
     }
 
-    /// A deadline expiry — a stalled worker or hung subprocess (exit
-    /// code 4).
+    /// A deadline expiry — a hung subprocess (exit code 4).
     pub fn stalled(message: impl Into<String>) -> Self {
         Self::new(ErrorKind::Stalled, message)
     }

@@ -1,25 +1,23 @@
 //! Seed-deterministic fault injection: the plan vocabulary and the
 //! process-wide arming switch.
 //!
-//! The replay stack is supervised (sharded workers degrade to the
-//! single-threaded oracle, journal and atomic writes retry transient
-//! errors, mapped traces are revalidated), and this module is how that
-//! machinery is *tested*: a [`FaultPlan`] names one injection site and
-//! its firing coordinates, and every supervised layer consults the plan
-//! at its injection points. With no plan installed the consultation is
-//! a single relaxed atomic load ([`active`] returns `None` without
-//! locking), so the hot path costs nothing — the same zero-cost-when-
-//! absent discipline as the probe layer.
+//! The replay stack's I/O is supervised (journal and atomic writes retry
+//! transient errors, mapped traces are revalidated), and this module is
+//! how that machinery is *tested*: a [`FaultPlan`] names one injection
+//! site and its failure budget, and every supervised layer consults the
+//! plan at its injection points. With no plan installed the
+//! consultation is a single relaxed atomic load ([`active`] returns
+//! `None` without locking), so the hot path costs nothing — the same
+//! zero-cost-when-absent discipline as the probe layer.
 //!
 //! Plans come from two places:
 //!
 //! * a **seed** (`--fault-seed N` or a bare integer in
 //!   `DSM_FAULT_PLAN`), expanded deterministically by
 //!   [`FaultPlan::derive`] so a CI sweep over seeds covers the
-//!   site × coordinate space reproducibly;
-//! * an **explicit spec** (`DSM_FAULT_PLAN=worker-panic@r1.p0.s0`
-//!   etc.), parsed by [`FaultPlan::from_spec`], for targeting one site
-//!   exactly.
+//!   site × budget space reproducibly;
+//! * an **explicit spec** (`DSM_FAULT_PLAN=journal-io:2` etc.), parsed
+//!   by [`FaultPlan::from_spec`], for targeting one site exactly.
 //!
 //! This lives in `dsm-types` (not `dsm-core`) because the lowest
 //! injection site — mapped-trace truncation — is in `dsm-trace`, which
@@ -32,16 +30,6 @@ use std::sync::Mutex;
 /// Where an injected fault fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// A sharded-replay worker panics at the chosen
-    /// `(round, part, seq)` chunk boundary.
-    WorkerPanic,
-    /// A worker's chunk send fails as if the committer vanished; the
-    /// worker abandons its range.
-    MailboxSendFail,
-    /// A worker stops committing chunks (an artificial backpressure
-    /// stall) until the committer's watchdog tears the mailboxes down
-    /// or [`FaultPlan::stall_ms`] elapses.
-    MailboxStall,
     /// Transient `EINTR`-style failures injected into sweep-journal
     /// appends ([`FaultPlan::io_failures`] consecutive attempts fail).
     JournalIo,
@@ -57,75 +45,40 @@ impl FaultSite {
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
-            FaultSite::WorkerPanic => "worker-panic",
-            FaultSite::MailboxSendFail => "mailbox-send-fail",
-            FaultSite::MailboxStall => "mailbox-stall",
             FaultSite::JournalIo => "journal-io",
             FaultSite::AtomicWriteIo => "atomic-write-io",
             FaultSite::MmapTruncate => "mmap-truncate",
         }
     }
-
-    /// Whether this site fires inside the sharded replay runtime (and
-    /// thus carries `(round, part, seq)` coordinates).
-    #[must_use]
-    pub fn is_shard(self) -> bool {
-        matches!(
-            self,
-            FaultSite::WorkerPanic | FaultSite::MailboxSendFail | FaultSite::MailboxStall
-        )
-    }
-
-    /// Whether this site injects transient I/O errors (and thus carries
-    /// an [`FaultPlan::io_failures`] budget).
-    #[must_use]
-    pub fn is_io(self) -> bool {
-        matches!(self, FaultSite::JournalIo | FaultSite::AtomicWriteIo)
-    }
 }
 
 /// All sites, in the order [`FaultPlan::derive`] indexes them.
-pub const FAULT_SITES: [FaultSite; 6] = [
-    FaultSite::WorkerPanic,
-    FaultSite::MailboxSendFail,
-    FaultSite::MailboxStall,
+pub const FAULT_SITES: [FaultSite; 3] = [
     FaultSite::JournalIo,
     FaultSite::AtomicWriteIo,
     FaultSite::MmapTruncate,
 ];
 
-/// One deterministic fault to inject: a site plus its firing
-/// coordinates. Built from a seed ([`FaultPlan::derive`]) or a spec
-/// string ([`FaultPlan::from_spec`]), installed process-wide with
-/// [`install`], and consulted by the supervised layers.
+/// One deterministic fault to inject: a site plus its failure budget.
+/// Built from a seed ([`FaultPlan::derive`]) or a spec string
+/// ([`FaultPlan::from_spec`]), installed process-wide with [`install`],
+/// and consulted by the supervised layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// The injection site.
     pub site: FaultSite,
-    /// Shard sites: the parallel round to fire in (the component engine
-    /// numbers rounds by shard index from 0; the rounds engine numbers
-    /// them from 1).
-    pub round: u32,
-    /// Shard sites: the partition (worker) to fire in.
-    pub part: u32,
-    /// Shard sites: the chunk sequence number (within the worker's
-    /// round) to fire at.
-    pub seq: u32,
-    /// I/O sites: how many consecutive attempts fail before the
-    /// operation is allowed to succeed. Below the retry budget the
-    /// fault is absorbed transparently; at or above it, the structured
-    /// degradation path runs.
+    /// `journal-io` and `atomic-write-io`: how many consecutive attempts
+    /// fail before the operation is allowed to succeed (`mmap-truncate`
+    /// ignores it). Below the retry budget the fault is absorbed
+    /// transparently; at or above it, the structured degradation path
+    /// runs.
     pub io_failures: u32,
-    /// [`FaultSite::MailboxStall`]: the longest the stalled worker
-    /// sleeps before resuming, an upper bound that keeps runs finite
-    /// even if the committer's watchdog is configured very long.
-    pub stall_ms: u64,
 }
 
 impl FaultPlan {
     /// Expands `seed` into a plan, deterministically (splitmix64): the
-    /// same seed always yields the same site and coordinates, so a CI
-    /// seed sweep is reproducible anywhere.
+    /// same seed always yields the same site and budget, so a CI seed
+    /// sweep is reproducible anywhere.
     #[must_use]
     pub fn derive(seed: u64) -> FaultPlan {
         let mut state = seed;
@@ -136,14 +89,11 @@ impl FaultPlan {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         };
-        let site = FAULT_SITES[usize::try_from(next() % 6).unwrap_or(0)];
+        let sites = FAULT_SITES.len() as u64;
+        let site = FAULT_SITES[usize::try_from(next() % sites).unwrap_or(0)];
         FaultPlan {
             site,
-            round: u32::try_from(next() % 3).unwrap_or(0),
-            part: u32::try_from(next() % 2).unwrap_or(0),
-            seq: u32::try_from(next() % 3).unwrap_or(0),
             io_failures: 1 + u32::try_from(next() % 4).unwrap_or(0),
-            stall_ms: 120_000,
         }
     }
 
@@ -151,9 +101,6 @@ impl FaultPlan {
     /// [`FaultPlan::derive`]; otherwise the grammar is:
     ///
     /// ```text
-    /// worker-panic@r<R>.p<P>.s<S>
-    /// mailbox-send-fail@r<R>.p<P>.s<S>
-    /// mailbox-stall@r<R>.p<P>.s<S>[:<stall_ms>]
     /// journal-io:<failures>
     /// atomic-write-io:<failures>
     /// mmap-truncate
@@ -162,7 +109,7 @@ impl FaultPlan {
     /// # Errors
     ///
     /// Returns a human-readable message (a usage error at the CLI) when
-    /// the spec matches no site or its coordinates do not parse.
+    /// the spec matches no site or its failure count does not parse.
     pub fn from_spec(spec: &str) -> Result<FaultPlan, String> {
         let spec = spec.trim();
         if !spec.is_empty() && spec.bytes().all(|b| b.is_ascii_digit()) {
@@ -171,16 +118,11 @@ impl FaultPlan {
                 .map(FaultPlan::derive)
                 .map_err(|e| format!("fault seed '{spec}': {e}"));
         }
-        let mut plan = FaultPlan {
-            site: FaultSite::MmapTruncate,
-            round: 0,
-            part: 0,
-            seq: 0,
-            io_failures: 1,
-            stall_ms: 120_000,
-        };
         if spec == FaultSite::MmapTruncate.label() {
-            return Ok(plan);
+            return Ok(FaultPlan {
+                site: FaultSite::MmapTruncate,
+                io_failures: 1,
+            });
         }
         for site in [FaultSite::JournalIo, FaultSite::AtomicWriteIo] {
             if let Some(rest) = spec.strip_prefix(site.label()) {
@@ -190,67 +132,16 @@ impl FaultPlan {
                         site.label()
                     )
                 })?;
-                plan.site = site;
-                plan.io_failures = n
+                let io_failures = n
                     .parse()
                     .map_err(|e| format!("fault spec '{spec}': bad failure count: {e}"))?;
-                return Ok(plan);
+                return Ok(FaultPlan { site, io_failures });
             }
-        }
-        for site in [
-            FaultSite::WorkerPanic,
-            FaultSite::MailboxSendFail,
-            FaultSite::MailboxStall,
-        ] {
-            let Some(rest) = spec.strip_prefix(site.label()) else {
-                continue;
-            };
-            let coords = rest.strip_prefix('@').ok_or_else(|| {
-                format!(
-                    "fault spec '{spec}': expected '{}@r<round>.p<part>.s<seq>'",
-                    site.label()
-                )
-            })?;
-            let (coords, stall) = match coords.split_once(':') {
-                Some((c, ms)) if site == FaultSite::MailboxStall => {
-                    let ms: u64 = ms
-                        .parse()
-                        .map_err(|e| format!("fault spec '{spec}': bad stall ms: {e}"))?;
-                    (c, ms)
-                }
-                Some(_) => return Err(format!("fault spec '{spec}': unexpected ':' suffix")),
-                None => (coords, plan.stall_ms),
-            };
-            let mut it = coords.split('.');
-            let mut field = |prefix: &str| -> Result<u32, String> {
-                it.next()
-                    .and_then(|p| p.strip_prefix(prefix))
-                    .ok_or_else(|| {
-                        format!("fault spec '{spec}': expected 'r<round>.p<part>.s<seq>'")
-                    })?
-                    .parse()
-                    .map_err(|e| format!("fault spec '{spec}': bad coordinate: {e}"))
-            };
-            plan.site = site;
-            plan.round = field("r")?;
-            plan.part = field("p")?;
-            plan.seq = field("s")?;
-            plan.stall_ms = stall;
-            if it.next().is_some() {
-                return Err(format!("fault spec '{spec}': trailing coordinates"));
-            }
-            return Ok(plan);
         }
         Err(format!(
-            "fault spec '{spec}': unknown site (one of worker-panic, mailbox-send-fail, \
-             mailbox-stall, journal-io, atomic-write-io, mmap-truncate, or a bare seed)"
+            "fault spec '{spec}': unknown site (one of journal-io, atomic-write-io, \
+             mmap-truncate, or a bare seed)"
         ))
-    }
-
-    /// Whether a shard-site plan fires at this chunk coordinate.
-    #[must_use]
-    pub fn fires_at(&self, round: u32, part: u32, seq: u32) -> bool {
-        self.site.is_shard() && self.round == round && self.part == part && self.seq == seq
     }
 
     /// Renders the plan back as a spec string (diagnostics only).
@@ -260,23 +151,6 @@ impl FaultPlan {
             FaultSite::MmapTruncate => self.site.label().to_owned(),
             FaultSite::JournalIo | FaultSite::AtomicWriteIo => {
                 format!("{}:{}", self.site.label(), self.io_failures)
-            }
-            FaultSite::MailboxStall => format!(
-                "{}@r{}.p{}.s{}:{}",
-                self.site.label(),
-                self.round,
-                self.part,
-                self.seq,
-                self.stall_ms
-            ),
-            FaultSite::WorkerPanic | FaultSite::MailboxSendFail => {
-                format!(
-                    "{}@r{}.p{}.s{}",
-                    self.site.label(),
-                    self.round,
-                    self.part,
-                    self.seq
-                )
             }
         }
     }
@@ -365,33 +239,20 @@ mod tests {
         assert_eq!(a, b);
         let mut seen = std::collections::HashSet::new();
         for seed in 0..64u64 {
-            seen.insert(FaultPlan::derive(seed).site);
+            let plan = FaultPlan::derive(seed);
+            assert!((1..=4).contains(&plan.io_failures), "{plan:?}");
+            seen.insert(plan.site);
         }
-        assert_eq!(
-            seen.len(),
-            FAULT_SITES.len(),
-            "64 seeds should hit all sites"
-        );
+        let all: std::collections::HashSet<_> = FAULT_SITES.into_iter().collect();
+        assert_eq!(seen, all, "64 seeds should hit all three sites");
     }
 
     #[test]
     fn spec_round_trips() {
-        for spec in [
-            "worker-panic@r1.p0.s0",
-            "mailbox-send-fail@r2.p1.s3",
-            "mailbox-stall@r1.p0.s0:500",
-            "journal-io:2",
-            "atomic-write-io:4",
-            "mmap-truncate",
-        ] {
+        for spec in ["journal-io:2", "atomic-write-io:4", "mmap-truncate"] {
             let plan = FaultPlan::from_spec(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
             assert_eq!(plan.spec(), spec, "round trip");
         }
-        // Default stall cap is appended by spec(); parse without it.
-        let plan = FaultPlan::from_spec("mailbox-stall@r1.p2.s3").unwrap();
-        assert_eq!(plan.site, FaultSite::MailboxStall);
-        assert_eq!((plan.round, plan.part, plan.seq), (1, 2, 3));
-        assert_eq!(plan.stall_ms, 120_000);
     }
 
     #[test]
@@ -402,27 +263,17 @@ mod tests {
     #[test]
     fn bad_specs_are_rejected() {
         for bad in [
-            "worker-panic",
-            "worker-panic@r1.p0",
-            "worker-panic@r1.p0.s0.x9",
-            "worker-panic@r1.p0.s0:7",
+            "worker-panic@r1.p0.s0",
+            "mailbox-send-fail@r1.p0.s0",
+            "mailbox-stall@r1.p0.s0",
             "journal-io",
             "journal-io:x",
+            "mmap-truncate:1",
             "no-such-site@r0.p0.s0",
             "",
         ] {
             assert!(FaultPlan::from_spec(bad).is_err(), "accepted: '{bad}'");
         }
-    }
-
-    #[test]
-    fn fires_at_matches_exact_coordinates() {
-        let plan = FaultPlan::from_spec("worker-panic@r1.p0.s2").unwrap();
-        assert!(plan.fires_at(1, 0, 2));
-        assert!(!plan.fires_at(1, 0, 1));
-        assert!(!plan.fires_at(0, 0, 2));
-        let io = FaultPlan::from_spec("journal-io:1").unwrap();
-        assert!(!io.fires_at(0, 0, 0), "I/O sites have no chunk coordinates");
     }
 
     #[test]

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Regenerates the committed goldens that the CI shard-determinism job
-# diffs against (ci/golden/). Run after any intentional change to the
-# simulator's metrics or to the reproduce output format, and commit the
-# result. The goldens are produced by the single-thread oracle
-# (--shard-workers 1 --jobs 1); CI then requires every other
-# shard-worker / sweep-job combination to match them byte for byte.
+# Regenerates the committed goldens under ci/golden/. Run after any
+# intentional change to the simulator's metrics or to the reproduce
+# output format, and commit the result. The goldens are produced by the
+# serial sweep (--jobs 1). Two readers diff against them byte for byte:
+# the CI `determinism` job (every --jobs / --mmap leg) and the benchmark
+# (perfbench/), which checks each `reproduce --workloads fft` run
+# against the fft subset.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,14 +15,13 @@ cargo build --release -p dsm-bench --bin reproduce
 
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
-target/release/reproduce --scale "$SCALE" --shard-workers 1 --jobs 1 \
+target/release/reproduce --scale "$SCALE" --jobs 1 \
   --out "$out" > "$out/stdout.txt"
 
-# Single-component subset golden: the fft-only run CI replays at
-# --shard-workers 2 and 4 to pin the intra-component rounds engine.
+# The fft subset golden: the run the benchmark repeats.
 mkdir -p "$out/fft"
 target/release/reproduce --scale "$SCALE" --workloads fft \
-  --shard-workers 1 --jobs 1 --out "$out/fft" > "$out/fft/stdout.txt"
+  --jobs 1 --out "$out/fft" > "$out/fft/stdout.txt"
 
 mkdir -p ci/golden
 cp "$out/reproduce_full.json" "ci/golden/reproduce_full.scale${SCALE}.json"

@@ -9,7 +9,6 @@
 //! deterministic [`TraceRng`], so every failure is reproducible from the
 //! printed configuration name and seed.
 
-use dsm_core::shard::{ShardEngine, ShardTuning};
 use dsm_core::{PcSize, System, SystemSpec};
 use dsm_trace::rng::TraceRng;
 use dsm_trace::SharedTrace;
@@ -75,76 +74,6 @@ fn fuzz_matrix_holds_invariants_at_k1() {
             sys.set_check_level(1);
             sys.run_shared_checked(&trace)
                 .unwrap_or_else(|e| panic!("config {name}, seed {seed}: {e}"));
-        }
-    }
-}
-
-/// The fuzz streams are single-component by construction (every cluster
-/// shares the same hot pages), so a sharded replay runs through the
-/// intra-component *rounds* engine. Its merged state must satisfy every
-/// invariant and equal the state of an oracle that audited itself after
-/// every reference (K = 1) — the supervised parallel path gets the same
-/// correctness bar as the serial one.
-#[test]
-fn rounds_engine_matches_k1_oracle_on_fuzz_traces() {
-    let data_bytes = 16 * Geometry::paper_default().page_bytes();
-    // Origin's migratory home policy refuses to shard (see
-    // `migratory_specs_fall_back_to_the_oracle` in sharded_equiv), so
-    // the matrix here is the non-migratory protocol families.
-    let specs: Vec<SystemSpec> = config_matrix()
-        .into_iter()
-        .filter(|s| s.name != SystemSpec::origin().name)
-        .collect();
-    // Tiny chunks and single-ref rounds so a 4000-reference stream still
-    // produces real parallel rounds despite the deliberate conflicts.
-    let tuning = ShardTuning {
-        chunk_refs: 64,
-        mailbox_capacity: 4,
-        min_parallel_refs: 1,
-        ..ShardTuning::default()
-    };
-    for seed in [11u64, 12] {
-        let trace = random_trace(seed, 4000);
-        for spec in &specs {
-            let name = spec.name.clone();
-            let mut checked =
-                System::new(spec.clone(), topo(), Geometry::paper_default(), data_bytes)
-                    .unwrap_or_else(|e| panic!("{name}: {e}"));
-            checked.set_check_level(1);
-            checked
-                .run_shared_checked(&trace)
-                .unwrap_or_else(|e| panic!("config {name}, seed {seed}: {e}"));
-
-            let mut sys = System::new(spec.clone(), topo(), Geometry::paper_default(), data_bytes)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            sys.run_sharded_with(&trace, 2, tuning);
-            let report = sys
-                .shard_report()
-                .unwrap_or_else(|| panic!("config {name}, seed {seed}: no shard report"));
-            assert_eq!(
-                report.engine,
-                ShardEngine::Rounds,
-                "config {name}, seed {seed}: single-component fuzz trace must use the rounds engine"
-            );
-            assert_eq!(
-                report.degraded, None,
-                "config {name}, seed {seed}: clean run must not degrade"
-            );
-            sys.check_invariants().unwrap_or_else(|e| {
-                panic!("config {name}, seed {seed}: sharded state violates invariants: {e}")
-            });
-            assert_eq!(
-                checked.metrics(),
-                sys.metrics(),
-                "config {name}, seed {seed}: rounds engine diverged from the K=1 oracle"
-            );
-            for c in 0..topo().clusters() {
-                assert_eq!(
-                    checked.cluster_counts(ClusterId(c)),
-                    sys.cluster_counts(ClusterId(c)),
-                    "config {name}, seed {seed}: cluster {c} counters diverged"
-                );
-            }
         }
     }
 }

@@ -325,7 +325,7 @@ fn profiler_does_not_perturb_the_simulation() {
 fn merged_halves_equal_the_whole_run_counters() {
     // Two profilers over one continuous system (swap at the midpoint)
     // merge to exactly the whole-run counters — the property the sweep
-    // rollups and any future sharded replay rely on. Histograms differ
+    // rollups rely on. Histograms differ
     // only in the gap buckets at the seam, so compare counts and cycles.
     let trace = random_trace(8, 4000);
     let spec = SystemSpec::vb().with_cache(2048, 2);
