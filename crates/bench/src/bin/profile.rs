@@ -19,13 +19,16 @@
 //! accepts the `simulate` family names (`base`, `nc`, `vb`, `vp`, `ncd`,
 //! `ncs`, `inf-dram`, `ncp`, `vbp`, `vpp`, `vxp`, `origin`, `origin-vb`).
 //!
-//! The replay is chunked (`--batch`, default 65536 refs) so the span
-//! trace written by `--chrome-trace` shows per-batch progress under each
+//! The replay stops every `--batch` references (default 65536) — the
+//! batched loop every run uses, through `System::run_shared_windowed` —
+//! and closes one `replay batch` span per stop, so the span trace
+//! written by `--chrome-trace` shows per-batch progress under each
 //! configuration's replay span; `--out <file>` writes the full profile
 //! as `dsm-profile/v1` JSON. `--jobs` is accepted (it is a common flag)
 //! but ignored: profiling replays serially so per-batch spans and
 //! counters stay attributable.
 
+use std::convert::Infallible;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -177,16 +180,18 @@ fn run(flags: &Flags) -> Result<(), DsmError> {
         let mut system = System::with_probe(spec.clone(), topo, geo, data_bytes, profiler)
             .map_err(|e| DsmError::bad_input(format!("{}/{wl}: {e}", spec.name)))?;
         let t0 = Instant::now();
-        let mut i = 0usize;
-        while i < trace.len() {
-            let end = (i + flags.batch).min(trace.len());
-            let mut bspan = tracer.span(lane, "replay batch");
-            for j in i..end {
-                system.process(trace.get(j));
+        let mut done = 0usize;
+        let mut bspan = (!trace.is_empty()).then(|| tracer.span(lane, "replay batch"));
+        let Ok(()) = system.run_shared_windowed(&trace, flags.batch, |_, now| {
+            if let Some(mut span) = bspan.take() {
+                span.arg("refs", (now - done) as u64);
             }
-            bspan.arg("refs", (end - i) as u64);
-            i = end;
-        }
+            done = now;
+            if now < trace.len() {
+                bspan = Some(tracer.span(lane, "replay batch"));
+            }
+            Ok::<(), Infallible>(())
+        });
         system.finish();
         let wall_s = t0.elapsed().as_secs_f64();
         let mut report = report_of(&system, &wl, data_bytes, trace.len() as u64);

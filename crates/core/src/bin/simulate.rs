@@ -5,10 +5,16 @@
 //! simulate --system <name> --trace <file.dsmt> [--data-mb <n>] [--mmap]
 //! ```
 //!
-//! Systems: `base`, `nc`, `vb`, `vp`, `ncd`, `ncs`, `inf-dram`, and the
+//! Systems: `base`, `nc`, `vb`, `vp`, `ncd`, `ncs`, `inf-dram`; the
 //! page-cache systems `ncp`, `vbp`, `vpp`, `vxp` (which accept
 //! `--pc-fraction <d>` [default 5] or `--pc-bytes <n>`, and `vxp` accepts
-//! `--threshold <t>` [default 32]).
+//! `--threshold <t>` [default 32]); and the Origin-style OS page
+//! migration/replication systems `origin` and `origin-vb` (the latter
+//! with a victim NC).
+//!
+//! `--check <K>` audits the coherence invariants every `K` references
+//! (and after the last) on the same batched replay loop an unchecked run
+//! uses; a violation exits with code 4.
 //!
 //! `--stats` attaches the observability probe and appends a profiling
 //! view: event counts by kind, per-cluster remote intensity and bus
@@ -35,8 +41,9 @@ fn usage() -> ExitCode {
          page-cache options: --pc-fraction <d> | --pc-bytes <n>; vxp: --threshold <t>\n\
          checking: --check <K> (validate coherence invariants every K references)\n\
          observability: --stats [--top <k>] [--epoch <refs>]\n\
-         chaos: env DSM_FAULT_PLAN=<seed|spec> arms deterministic fault injection\n\
-         \x20      (supervised recovery keeps metrics identical or fails structurally)"
+         chaos: env DSM_FAULT_PLAN=<seed|spec> arms deterministic fault injection; of the\n\
+         \x20      three I/O sites only mmap-truncate (--trace --mmap) fires here, and it\n\
+         \x20      fails structurally with an error exit code, never a crash"
     );
     ExitCode::from(2)
 }
@@ -55,7 +62,7 @@ struct Options {
     nc_bytes: Option<u64>,
     pointers: Option<usize>,
     dirty_shared: bool,
-    check: Option<u64>,
+    check: Option<usize>,
     data_mb: Option<u64>,
     mmap: bool,
     stats: bool,
@@ -373,9 +380,8 @@ fn run(o: &Options, spec: SystemSpec) -> Result<(), DsmError> {
         (trace, w.shared_bytes(), w.name().to_owned())
     } else {
         let path = o.trace.as_deref().unwrap_or_default();
-        // v2 trace files carry their geometry; v1 files replay under the
-        // paper default. --mmap decodes straight from the kernel mapping
-        // instead of copying the file into heap columns.
+        // Trace files carry their geometry. --mmap decodes straight from
+        // the kernel mapping instead of reading the file into memory.
         let trace = if o.mmap {
             open_shared_mapped(std::path::Path::new(path)).map_err(|e| match e {
                 // Match the owned path's classification: a path the user
@@ -402,8 +408,7 @@ fn run(o: &Options, spec: SystemSpec) -> Result<(), DsmError> {
             system.set_epoch_window(w);
         }
         if let Some(k) = o.check {
-            system.set_check_level(k);
-            system.run_shared_checked(&trace)?;
+            system.run_shared_checked(&trace, k)?;
         } else {
             system.run_shared(&trace);
         }
@@ -417,8 +422,7 @@ fn run(o: &Options, spec: SystemSpec) -> Result<(), DsmError> {
     let report = if let Some(k) = o.check {
         let (topo, geo) = (*trace.topology(), *trace.geometry());
         let mut system = System::new(spec, topo, geo, data_bytes)?;
-        system.set_check_level(k);
-        system.run_shared_checked(&trace)?;
+        system.run_shared_checked(&trace, k)?;
         report_of(&system, &name, data_bytes, trace.len() as u64)
     } else {
         run_trace(&spec, &name, data_bytes, &trace)?

@@ -1,7 +1,10 @@
 //! The coherence invariant checker: a read-only audit of the whole
-//! machine state, run between references by
-//! [`System::run_shared_checked`] at the cadence set with
-//! [`System::set_check_level`].
+//! machine state. [`System::run_shared_checked`] runs it every `K`
+//! references on the batched replay loop that produces every figure:
+//! the loop stops exactly on each multiple of `K` by cutting a batch
+//! short ([`System::run_shared_windowed`]), so at `K = 1` a violation
+//! names the exact reference that exposed it. With checks off the loop
+//! pays one branch per batch.
 //!
 //! Every probe used here is side-effect free (no LRU updates, no state
 //! transitions), so interleaving checks with replay cannot perturb the

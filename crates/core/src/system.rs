@@ -1,13 +1,15 @@
 //! The machine-level simulator: clusters, directory, and the reference
 //! processing state machine.
 
+use std::convert::Infallible;
+
 use dsm_cache::{CacheState, Eviction};
 use dsm_directory::{DirectoryUnit, HomeMap, RnumaCounters};
 use dsm_protocol::mesir;
 use dsm_trace::{SharedTrace, BATCH};
 use dsm_types::{
     AddrParts, BlockAddr, ClusterId, ClusterSet, ConfigError, DecodedRef, DenseMap, DsmError,
-    Geometry, LocalProcId, MemOp, MemRef, PageAddr, Topology,
+    Geometry, LocalProcId, MemRef, PageAddr, Topology,
 };
 
 use crate::cluster::ClusterUnit;
@@ -60,9 +62,6 @@ pub struct System<P: Probe = NoProbe> {
     model: LatencyModel,
     probe: P,
     epoch: Option<EpochState>,
-    /// Invariant-check cadence for [`System::run_shared_checked`] (0 =
-    /// check only at end of trace). Never read on the unchecked paths.
-    check_every: u64,
 }
 
 /// Live state of the epoch sampler (see [`System::set_epoch_window`]).
@@ -209,7 +208,6 @@ impl<P: Probe> System<P> {
             geo,
             probe,
             epoch: None,
-            check_every: 0,
         })
     }
 
@@ -408,39 +406,49 @@ impl<P: Probe> System<P> {
         }
     }
 
-    /// Processes an entire trace.
-    ///
-    /// Compatibility shim over [`System::run_shared`]: collects the
-    /// references and builds a [`SharedTrace`] internally. Callers
-    /// replaying a trace more than once (sweeps) should build the
-    /// `SharedTrace` themselves and call [`System::run_shared`] so the
-    /// decomposition columns are computed once, not per configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a reference's processor is outside the topology.
-    pub fn run<I: IntoIterator<Item = MemRef>>(&mut self, trace: I) {
-        let refs: Vec<MemRef> = trace.into_iter().collect();
-        let shared = SharedTrace::from_refs(self.topo, self.geo, &refs);
-        self.run_shared(&shared);
-    }
-
-    /// Replays a columnar trace, consuming the precomputed decomposition
-    /// columns in batches of [`BATCH`] [`DecodedRef`]s — no per-reference
-    /// address arithmetic, processor splitting, or page-table hashing.
-    ///
-    /// The precomputed `home` column encodes pure first-touch placement,
-    /// so the batched path requires page homes to be static: a system
-    /// running OS migration/replication policies, or one whose placement
-    /// map is already populated (a prior `run` on the same system),
-    /// falls back to the per-reference path with live home lookups. The
-    /// two paths are metric-identical (see `tests/sharedtrace_equiv.rs`).
+    /// Replays a columnar trace through the batched loop: the
+    /// decomposition columns are consumed in batches of [`BATCH`]
+    /// [`DecodedRef`]s — no per-reference address arithmetic or
+    /// processor splitting — and every reference runs the one
+    /// per-reference body that [`System::process`] also reaches. Homes
+    /// come from the source [`System::run_shared_windowed`] picks.
     ///
     /// # Panics
     ///
     /// Panics if `trace` was built under a different topology or
     /// geometry than this system.
     pub fn run_shared(&mut self, trace: &SharedTrace) {
+        let Ok(()) = self.run_shared_windowed(trace, 0, |_, _| Ok::<(), Infallible>(()));
+    }
+
+    /// Replays `trace` like [`System::run_shared`], stopping after every
+    /// `every` references and after the last one (`every == 0`: only
+    /// after the last) to call `stop(self, done)`, where `done` counts
+    /// the references replayed so far. A batch that would cross a stop
+    /// is cut short, so stops land exactly on multiples of `every`; the
+    /// stop test costs one branch per batch. An `Err` from `stop` ends
+    /// the replay and is returned.
+    ///
+    /// Each reference's home comes from one of two sources, chosen once
+    /// per replay from machine state: the trace's precomputed
+    /// first-touch column while homes are static (no OS
+    /// migration/replication policy and no page placed yet), else the
+    /// live placement map, which migration moves and an earlier replay
+    /// has already filled.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `stop` returns.
+    ///
+    /// # Panics
+    ///
+    /// As [`System::run_shared`].
+    pub fn run_shared_windowed<E>(
+        &mut self,
+        trace: &SharedTrace,
+        every: usize,
+        stop: impl FnMut(&Self, usize) -> Result<(), E>,
+    ) -> Result<(), E> {
         assert_eq!(
             trace.topology(),
             &self.topo,
@@ -451,13 +459,23 @@ impl<P: Probe> System<P> {
             &self.geo,
             "trace geometry does not match system geometry"
         );
-        let static_homes = self.migrep.is_none() && self.home.placement().placed_pages() == 0;
-        if !static_homes {
-            for r in trace.iter() {
-                self.process(r);
-            }
-            return;
-        }
+        let live = self.migrep.is_some() || self.home.placement().placed_pages() > 0;
+        self.replay_batches(trace, every, live, stop)
+    }
+
+    /// The batched decode-and-prefetch loop behind
+    /// [`System::run_shared_windowed`]; `live` is the home source it
+    /// picked (the placement map instead of the trace's column), tested
+    /// once per batch.
+    fn replay_batches<E>(
+        &mut self,
+        trace: &SharedTrace,
+        every: usize,
+        live: bool,
+        mut stop: impl FnMut(&Self, usize) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let len = trace.len();
+        let every = if every == 0 { len } else { every };
         // Prefetch one batch ahead: after decoding batch N, peek batch
         // N+1's columns (registers only, no DecodedRef materialization)
         // and issue prefetches for the machine lines it will touch —
@@ -469,19 +487,34 @@ impl<P: Probe> System<P> {
         // slower than re-reading the columns.
         let mut batch = [DecodedRef::default(); BATCH];
         let mut start = 0;
-        loop {
-            let n = trace.decode_batch(start, &mut batch);
-            if n == 0 {
-                break;
-            }
+        let mut next_stop = every.min(len);
+        while start < len {
+            // Decode a whole batch even when a stop comes first: called
+            // with a constant length, `decode_batch` is specialized for
+            // `BATCH`, and a cut-short window measured slower on the
+            // column path (EXPERIMENTS.md, "Run-to-run spread of
+            // `replay-static`"). References past the stop are decoded
+            // again after it.
+            let n = trace.decode_batch(start, &mut batch).min(next_stop - start);
             trace.peek_batch(start + n, BATCH, |cl, lp, block| {
                 self.prefetch_line(cl, lp, block);
             });
-            for d in &batch[..n] {
-                self.process_decoded(*d);
+            if live {
+                for d in &batch[..n] {
+                    self.process_decoded::<true>(*d);
+                }
+            } else {
+                for d in &batch[..n] {
+                    self.process_decoded::<false>(*d);
+                }
             }
             start += n;
+            if start == next_stop {
+                stop(self, start)?;
+                next_stop = next_stop.saturating_add(every).min(len);
+            }
         }
+        Ok(())
     }
 
     /// Issues prefetch hints for the machine lines a reference issued by
@@ -490,32 +523,19 @@ impl<P: Probe> System<P> {
     /// entry, and the cluster's NC line. Called one batch ahead of
     /// processing; never changes state.
     #[inline]
-    pub(crate) fn prefetch_line(&self, cl: ClusterId, lp: LocalProcId, block: BlockAddr) {
+    fn prefetch_line(&self, cl: ClusterId, lp: LocalProcId, block: BlockAddr) {
         self.dir.prefetch(block);
         let c = &self.clusters[usize::from(cl.0)];
         c.bus.prefetch(lp, block);
         c.nc.prefetch(block);
     }
 
-    /// Sets the invariant-check cadence for
-    /// [`System::run_shared_checked`]: the coherence invariants are
-    /// validated after every `every` references (plus once at end of
-    /// trace). `0` restores the default end-of-trace-only check.
-    ///
-    /// This knob is only read by the checked replay path; the unchecked
-    /// [`System::run_shared`] hot path never looks at it, so leaving
-    /// checks off costs nothing.
-    pub fn set_check_level(&mut self, every: u64) {
-        self.check_every = every;
-    }
-
-    /// Replays a trace like [`System::run_shared`], validating the
-    /// coherence invariants at the cadence set by
-    /// [`System::set_check_level`] and once after the last reference.
-    ///
-    /// Runs on the per-reference path (metric-identical to the batched
-    /// path; see `tests/sharedtrace_equiv.rs`), so a violation can be
-    /// reported with the exact reference that exposed it.
+    /// Replays a trace through the batched loop like
+    /// [`System::run_shared`], auditing the coherence invariants
+    /// ([`System::check_invariants`]) after every `every` references and
+    /// after the last one (`every == 0`: only after the last). A
+    /// violation names the reference the replay stopped after — at
+    /// `every == 1`, the exact reference that exposed it.
     ///
     /// # Errors
     ///
@@ -523,7 +543,11 @@ impl<P: Probe> System<P> {
     /// under a different topology or geometry, or `InvariantViolation`
     /// (with the offending reference and epoch attached as context) if
     /// the machine state is inconsistent.
-    pub fn run_shared_checked(&mut self, trace: &SharedTrace) -> Result<(), DsmError> {
+    pub fn run_shared_checked(
+        &mut self,
+        trace: &SharedTrace,
+        every: usize,
+    ) -> Result<(), DsmError> {
         if trace.topology() != &self.topo {
             return Err(DsmError::bad_input(format!(
                 "trace topology {} does not match system topology {}",
@@ -536,28 +560,26 @@ impl<P: Probe> System<P> {
                 "trace geometry does not match system geometry",
             ));
         }
-        let every = self.check_every;
-        let mut last: Option<(u64, MemRef)> = None;
-        for (i, r) in trace.iter().enumerate() {
-            self.process(r);
-            let i = i as u64;
-            last = Some((i, r));
-            if every > 0 && (i + 1).is_multiple_of(every) {
-                self.check_invariants()
-                    .map_err(|e| self.attach_reference_context(e, i, r))?;
-            }
+        self.run_shared_windowed(trace, every, |sys, done| {
+            sys.check_invariants().map_err(|e| {
+                let e = sys.attach_reference_context(e, done - 1, trace.get(done - 1));
+                if done == trace.len() {
+                    e.context("end of trace")
+                } else {
+                    e
+                }
+            })
+        })?;
+        if trace.is_empty() {
+            self.check_invariants()
+                .map_err(|e| e.context("end of trace (empty)"))?;
         }
-        self.check_invariants().map_err(|e| match last {
-            Some((i, r)) => self
-                .attach_reference_context(e, i, r)
-                .context("end of trace"),
-            None => e.context("end of trace (empty)"),
-        })
+        Ok(())
     }
 
     /// Wraps an invariant violation with the reference that exposed it
     /// and, when epoch sampling is on, the current epoch index.
-    fn attach_reference_context(&self, e: DsmError, index: u64, r: MemRef) -> DsmError {
+    fn attach_reference_context(&self, e: DsmError, index: usize, r: MemRef) -> DsmError {
         let AddrParts { block, page, .. } = self.geo.decompose(r.addr);
         let (cl, lp) = self.topo.split_of(r.proc);
         let op = if r.op.is_write() { "write" } else { "read" };
@@ -585,88 +607,95 @@ impl<P: Probe> System<P> {
         self.dir.drop_presence(block, cluster);
     }
 
-    /// Processes one pre-decoded reference on the static-home fast path
-    /// (no OS page policies, placement driven purely by first touch).
-    /// Mirrors [`System::process`] with the derivations and the
-    /// migration branches removed; the first-touch flag keeps the live
-    /// placement map populated for eviction home lookups and
-    /// victimization accounting.
-    #[inline]
-    pub(crate) fn process_decoded(&mut self, d: DecodedRef) {
-        debug_assert!(self.migrep.is_none());
-        if d.first_touch {
-            self.home.preassign(d.page, d.home);
-        }
-        self.metrics.shared_refs += 1;
-        self.per_cluster[usize::from(d.cluster.0)].refs += 1;
-        if d.write {
-            self.metrics.writes += 1;
-            self.process_write(d.cluster, d.lproc, d.block, d.page, d.remote());
-        } else {
-            self.metrics.reads += 1;
-            self.process_read(d.cluster, d.lproc, d.block, d.page, d.remote());
-        }
-        if P::ENABLED {
-            self.maybe_epoch();
-        }
-    }
-
-    /// Processes one shared-memory reference.
+    /// Processes one shared-memory reference: decodes it and runs the
+    /// batched replay's per-reference body, with homes from the live
+    /// placement map.
     ///
     /// # Panics
     ///
     /// Panics if the reference's processor is outside the topology.
     pub fn process(&mut self, r: MemRef) {
         let AddrParts { block, page, .. } = self.geo.decompose(r.addr);
-        let (cl, lp) = self.topo.split_of(r.proc);
-        let home = self.home.home_of_page(page, cl);
+        let (cluster, lproc) = self.topo.split_of(r.proc);
+        // The live home source never reads the column fields.
+        self.process_decoded::<true>(DecodedRef {
+            cluster,
+            lproc,
+            write: r.op.is_write(),
+            first_touch: false,
+            block,
+            page,
+            home: cluster,
+        });
+    }
+
+    /// The simulator's one per-reference body. `LIVE` picks the home
+    /// source (see [`System::run_shared_windowed`]): the live placement
+    /// map, which also runs the OS replication policy, or `d`'s
+    /// precomputed first-touch column, whose first-touch flag keeps the
+    /// placement map populated for eviction home lookups and
+    /// victimization accounting.
+    #[inline]
+    fn process_decoded<const LIVE: bool>(&mut self, d: DecodedRef) {
+        let cl = d.cluster;
+        let home = if LIVE {
+            self.home.home_of_page(d.page, cl)
+        } else {
+            if d.first_touch {
+                self.home.preassign(d.page, d.home);
+            }
+            d.home
+        };
         let mut remote = home != cl;
-
-        // Origin-style OS policies: local replicas serve remote reads;
-        // any write to a replicated page collapses its replicas first.
-        if r.op.is_write() {
-            if self.migrep.is_some() {
-                // A page only loses replication eligibility when a write
-                // is *sharing-relevant*: the page is remote to the writer,
-                // or another cluster currently holds (a block of) it.
-                // First-touch initialization writes stay invisible, as an
-                // OS policy driven by remote-miss counters would see them.
-                let shared_elsewhere = remote || self.dir.has_sharer_other_than(block, cl);
-                let mut collapsed = false;
-                if let Some(mr) = self.migrep.as_mut() {
-                    collapsed = mr.replicas.remove(page.0).is_some();
-                    if shared_elsewhere {
-                        *mr.written_pages.entry_or_default(page.0) += 1;
-                    }
-                }
-                if collapsed {
-                    self.metrics.replica_collapses += 1;
-                    self.emit(Event::ReplicaCollapse { cluster: cl, page });
-                }
-            }
-        } else if remote {
-            if let Some(mr) = self.migrep.as_ref() {
-                if mr.replicas.get(page.0).is_some_and(|set| set.contains(cl)) {
-                    remote = false;
-                }
-            }
+        if LIVE && self.migrep.is_some() {
+            remote = self.apply_replicas(d, remote);
         }
-
         self.metrics.shared_refs += 1;
         self.per_cluster[usize::from(cl.0)].refs += 1;
-        match r.op {
-            MemOp::Read => {
-                self.metrics.reads += 1;
-                self.process_read(cl, lp, block, page, remote);
-            }
-            MemOp::Write => {
-                self.metrics.writes += 1;
-                self.process_write(cl, lp, block, page, remote);
-            }
+        if d.write {
+            self.metrics.writes += 1;
+            self.process_write(cl, d.lproc, d.block, d.page, remote);
+        } else {
+            self.metrics.reads += 1;
+            self.process_read(cl, d.lproc, d.block, d.page, remote);
         }
         if P::ENABLED {
             self.maybe_epoch();
         }
+    }
+
+    /// Origin-style OS policies at reference time: a local replica
+    /// serves a remote read, and a write to a replicated page collapses
+    /// its replicas first. Returns whether `d` is still remote.
+    fn apply_replicas(&mut self, d: DecodedRef, remote: bool) -> bool {
+        let Some(mr) = self.migrep.as_mut() else {
+            return remote;
+        };
+        if !d.write {
+            return remote
+                && !mr
+                    .replicas
+                    .get(d.page.0)
+                    .is_some_and(|set| set.contains(d.cluster));
+        }
+        // A page only loses replication eligibility when a write is
+        // *sharing-relevant*: the page is remote to the writer, or
+        // another cluster currently holds (a block of) it. First-touch
+        // initialization writes stay invisible, as an OS policy driven
+        // by remote-miss counters would see them.
+        let shared_elsewhere = remote || self.dir.has_sharer_other_than(d.block, d.cluster);
+        let collapsed = mr.replicas.remove(d.page.0).is_some();
+        if shared_elsewhere {
+            *mr.written_pages.entry_or_default(d.page.0) += 1;
+        }
+        if collapsed {
+            self.metrics.replica_collapses += 1;
+            self.emit(Event::ReplicaCollapse {
+                cluster: d.cluster,
+                page: d.page,
+            });
+        }
+        remote
     }
 
     fn process_read(

@@ -1,22 +1,24 @@
 //! The columnar (struct-of-arrays) replay buffer: one trace, shared by
-//! every system configuration of a sweep.
+//! every system configuration of a sweep, and the only form the
+//! simulator replays.
 //!
 //! The paper's methodology replays the *same* trace against every
 //! configuration (§4), which makes the trace read-mostly and shared —
 //! exactly the shape where a columnar layout with precomputed columns
 //! pays off. [`SharedTrace`] splits the padded array-of-structs
 //! `Vec<MemRef>` (16 bytes per reference after alignment) into parallel
-//! columns and, at construction, precomputes everything `System::process`
-//! used to derive per reference per replay:
+//! columns and, at construction, precomputes what the simulator would
+//! otherwise derive per reference per replay:
 //!
 //! * `issuing_cluster` / the packed local processor —
 //!   [`Topology::split_of`];
 //! * `home_cluster` — the page's home under pure first-touch placement
 //!   (the issuing cluster of the trace's first reference to the page),
 //!   plus a *first-touch* flag on that reference. This removes the
-//!   per-reference page-table hash lookup from replay entirely; a system
-//!   running OS page-migration policies ignores the column and falls
-//!   back to its live placement map.
+//!   per-reference page-table lookup from replay while homes are
+//!   static; a replay under OS page migration/replication (or on a
+//!   machine whose pages are already placed) takes homes from the
+//!   simulator's live placement map instead.
 //!
 //! Block and page numbers are *not* materialized: they are single shifts
 //! off the address column (`addr >> shift`), which the decode loop
@@ -32,10 +34,16 @@
 //!
 //! The address column itself lives behind [`AddrColumn`]: either an
 //! owned `Vec<u64>` (traces built in memory) or a borrowed window of a
-//! memory-mapped v2 trace file ([`crate::mmap::Mapping`]), in which case
-//! loading is zero-copy — the file's address column *is* the replay
-//! column, multi-gigabyte traces start instantly, and every sweep worker
-//! shares the same physical pages read-only.
+//! trace file's bytes ([`crate::mmap::Mapping`]), as every trace the
+//! codec parses has. For a memory-mapped file loading is zero-copy —
+//! the file's address column *is* the replay column, multi-gigabyte
+//! traces start instantly, and every sweep worker shares the same
+//! physical pages read-only.
+//!
+//! [`SharedTrace::get`] turns one reference back into a [`MemRef`] for
+//! the paths that need the array-of-structs form: the codec's writer,
+//! and the invariant checker's report of the reference it stopped
+//! after.
 
 use std::sync::Arc;
 
@@ -60,7 +68,7 @@ const FIRST_TOUCH_BIT: u8 = 1 << 7;
 const PROC_MASK: u8 = OP_BIT - 1;
 
 /// Reads the little-endian `u64` at `off` — the unaligned load the
-/// mapped address column needs (the v2 addr column starts at byte
+/// mapped address column needs (a trace file's addr column starts at byte
 /// `34 + 2n + ceil(n/8)`, which is not 8-aligned).
 #[inline(always)]
 fn u64_le_at(bytes: &[u8], off: usize) -> u64 {
@@ -70,14 +78,15 @@ fn u64_le_at(bytes: &[u8], off: usize) -> u64 {
 }
 
 /// The storage behind [`SharedTrace`]'s address column: owned for traces
-/// built in memory, a borrowed window of a file mapping for traces
-/// opened with [`crate::codec::open_shared_mapped`].
+/// built in memory, a borrowed window of the file's bytes for traces the
+/// codec parsed ([`crate::codec::shared_from_mapping`]).
 #[derive(Debug, Clone)]
 pub(crate) enum AddrColumn {
-    /// Trace built in memory (generated, or parsed from a reader).
+    /// Trace built in memory from references.
     Owned(Vec<u64>),
-    /// Zero-copy window into a mapped v2 trace file: `count` addresses
-    /// starting at byte `offset` (little-endian, unaligned).
+    /// Zero-copy window into a trace file's bytes (mapped or read):
+    /// `count` addresses starting at byte `offset` (little-endian,
+    /// unaligned).
     Mapped {
         map: Arc<Mapping>,
         offset: usize,
@@ -236,7 +245,7 @@ pub(crate) fn derive_columns(
 /// let shared = SharedTrace::from_refs(topo, geo, &refs);
 /// assert_eq!(shared.len(), 2);
 /// // Lossless round-trip back to the AoS form.
-/// let back: Vec<MemRef> = shared.iter().collect();
+/// let back: Vec<MemRef> = (0..shared.len()).map(|i| shared.get(i)).collect();
 /// assert_eq!(back, refs);
 /// // Page 1 was first touched by P4 (cluster 1): both refs share home 1.
 /// let mut batch = [dsm_types::DecodedRef::default(); dsm_trace::BATCH];
@@ -249,8 +258,8 @@ pub(crate) fn derive_columns(
 pub struct SharedTrace {
     topo: Topology,
     geo: Geometry,
-    /// Byte address column: owned, or a zero-copy window of a mapped v2
-    /// trace file. Block and page numbers are shifts off this column.
+    /// Byte address column: owned, or a zero-copy window of a trace
+    /// file's bytes. Block and page numbers are shifts off this column.
     addr: AddrColumn,
     /// Packed per-reference byte: bits 0..6 processor id (machines up to
     /// 64 processors), bit 6 write, bit 7 first touch of the page.
@@ -388,16 +397,6 @@ impl SharedTrace {
         }
     }
 
-    /// `"mapped"` or `"owned"` — the storage mode label telemetry and
-    /// progress lines report.
-    #[must_use]
-    pub fn storage_mode(&self) -> &'static str {
-        match &self.addr {
-            AddrColumn::Owned(_) => "owned",
-            AddrColumn::Mapped { .. } => "mapped",
-        }
-    }
-
     /// The reference at `i` in its original array-of-structs form.
     ///
     /// # Panics
@@ -417,12 +416,6 @@ impl SharedTrace {
             MemOp::Read
         };
         MemRef::new(ProcId(proc), op, Addr(self.addr.at(i)))
-    }
-
-    /// Iterates the references in trace order as [`MemRef`]s — the
-    /// lossless round-trip back to the array-of-structs form.
-    pub fn iter(&self) -> impl Iterator<Item = MemRef> + '_ {
-        (0..self.len()).map(|i| self.get(i))
     }
 
     /// Decodes up to `out.len()` references starting at `start` into
@@ -500,7 +493,7 @@ impl SharedTrace {
 
     /// Visits `(issuing cluster, local processor, block)` for up to
     /// `len` references starting at `start`, without materializing
-    /// [`DecodedRef`]s. The replay loops use this to issue machine-line
+    /// [`DecodedRef`]s. The replay loop uses this to issue machine-line
     /// prefetches for batch N+1 while batch N is in flight: the lane
     /// values stay in registers, so the *processing* batch's decode can
     /// remain fused with the process loop (a second decoded buffer
@@ -546,9 +539,9 @@ impl SharedTrace {
 
     /// Heap bytes held by the columns — the footprint quantity
     /// EXPERIMENTS.md tracks against the 16 padded bytes per reference of
-    /// the array-of-structs form. A mapped address column contributes
-    /// nothing: its bytes are file-backed pages shared with every other
-    /// reader of the same file.
+    /// the array-of-structs form. An address column borrowed from a
+    /// trace file's bytes contributes nothing: they are the file's, and
+    /// when mapped, pages shared with every other reader of the file.
     #[must_use]
     pub fn column_bytes(&self) -> usize {
         self.addr.heap_bytes() + self.proc_op.len() * (1 + 1 + 1) + self.wide_proc.len() * 2
@@ -578,11 +571,15 @@ mod tests {
         )
     }
 
+    fn refs_of(s: &SharedTrace) -> Vec<MemRef> {
+        (0..s.len()).map(|i| s.get(i)).collect()
+    }
+
     /// The same trace with its address column re-homed behind a mapped
     /// buffer — every decode path must observe identical references.
     fn remap_addr_column(s: &SharedTrace) -> SharedTrace {
         let mut bytes = Vec::new();
-        for r in s.iter() {
+        for r in refs_of(s) {
             bytes.extend_from_slice(&r.addr.0.to_le_bytes());
         }
         let mut out = s.clone();
@@ -599,8 +596,7 @@ mod tests {
         let s = shared();
         assert_eq!(s.len(), 5);
         assert!(!s.is_empty());
-        let back: Vec<MemRef> = s.iter().collect();
-        assert_eq!(back, refs_sample());
+        assert_eq!(refs_of(&s), refs_sample());
     }
 
     #[test]
@@ -634,10 +630,10 @@ mod tests {
         assert_eq!(out[1].home, ClusterId(0));
         assert!(out[1].first_touch);
         assert!(!out[4].first_touch);
-        // Page 1 first touched by P9 => cluster 2, remote never set here.
+        // Page 1 first touched by P9 => cluster 2: homed at its issuer.
         assert_eq!(out[3].home, ClusterId(2));
+        assert_eq!(out[3].home, out[3].cluster);
         assert!(out[3].first_touch);
-        assert!(!out[3].remote());
     }
 
     #[test]
@@ -693,7 +689,7 @@ mod tests {
             MemRef::write(ProcId(5), Addr(4096)),
         ];
         let s = SharedTrace::from_refs(topo, geo, &refs);
-        assert_eq!(s.iter().collect::<Vec<_>>(), refs);
+        assert_eq!(refs_of(&s), refs);
         let mut out = [DecodedRef::default(); 2];
         s.decode_batch(0, &mut out);
         assert_eq!(out[0].cluster, ClusterId(31));
@@ -717,9 +713,9 @@ mod tests {
         let owned =
             SharedTrace::from_refs(Topology::paper_default(), Geometry::paper_default(), &refs);
         let mapped = remap_addr_column(&owned);
-        assert_eq!(owned.storage_mode(), "owned");
-        assert_eq!(mapped.storage_mode(), "mapped");
-        assert_eq!(mapped.iter().collect::<Vec<_>>(), refs);
+        assert!(matches!(owned.addr, AddrColumn::Owned(_)));
+        assert!(matches!(mapped.addr, AddrColumn::Mapped { .. }));
+        assert_eq!(refs_of(&mapped), refs);
         let (mut a, mut b) = (
             [DecodedRef::default(); BATCH],
             [DecodedRef::default(); BATCH],
@@ -777,6 +773,6 @@ mod tests {
         assert!(s.is_empty());
         let mut out = [DecodedRef::default(); BATCH];
         assert_eq!(s.decode_batch(0, &mut out), 0);
-        assert!(s.iter().next().is_none());
+        assert!(refs_of(&s).is_empty());
     }
 }

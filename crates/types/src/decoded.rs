@@ -5,11 +5,12 @@ use crate::{BlockAddr, ClusterId, LocalProcId, PageAddr};
 
 /// One shared-memory reference with its address decomposition and issuer
 /// split already applied — the unit a columnar replay buffer hands the
-/// simulator, so the per-reference hot path does zero address arithmetic
-/// and no page-table lookups.
+/// simulator, so the per-reference hot path does no address arithmetic
+/// and, while page homes are static, no page-table lookups.
 ///
-/// A `DecodedRef` carries exactly what `System::process` derives from a
-/// `MemRef` before dispatching:
+/// A `DecodedRef` carries exactly what the simulator's per-reference
+/// body consumes; `System::process` decodes a lone `MemRef` into one,
+/// and the batched replay reads them off the trace's columns:
 ///
 /// * [`Topology::split_of`](crate::Topology::split_of) →
 ///   [`DecodedRef::cluster`] / [`DecodedRef::lproc`];
@@ -21,8 +22,9 @@ use crate::{BlockAddr, ClusterId, LocalProcId, PageAddr};
 ///   reference to it — see `SharedTrace` in `dsm-trace`).
 ///
 /// The precomputed home is only valid while page homes are static; a
-/// simulator running OS migration policies must fall back to its live
-/// placement map.
+/// replay under OS migration policies, or on a machine whose pages are
+/// already placed, reads homes from its live placement map and ignores
+/// both fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DecodedRef {
     /// The issuing processor's cluster.
@@ -40,31 +42,4 @@ pub struct DecodedRef {
     pub page: PageAddr,
     /// The page's home cluster under first-touch placement.
     pub home: ClusterId,
-}
-
-impl DecodedRef {
-    /// Whether the reference is remote to its issuer under first-touch
-    /// placement.
-    #[must_use]
-    #[inline]
-    pub fn remote(&self) -> bool {
-        self.home != self.cluster
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn remote_compares_home_to_issuer() {
-        let mut r = DecodedRef {
-            cluster: ClusterId(2),
-            home: ClusterId(2),
-            ..DecodedRef::default()
-        };
-        assert!(!r.remote());
-        r.home = ClusterId(3);
-        assert!(r.remote());
-    }
 }

@@ -1,16 +1,20 @@
-//! Equivalence gates for the columnar `SharedTrace` replay path.
+//! Equivalence gates for the two home sources of the one replay body.
 //!
-//! The batched `System::run_shared` fast path must be observationally
-//! identical to the original per-reference `System::process` loop: same
-//! aggregate metrics, same per-cluster counters, on every directory and
-//! cache configuration. These tests replay randomized traces through both
-//! paths and also pin the v2 columnar codec as a lossless round trip, so
-//! a future change to the decomposition columns or the batch decoder
-//! fails loudly rather than silently shifting figures.
+//! Every reference runs the same per-reference body; its home comes
+//! either from the trace's precomputed first-touch column (a batched
+//! `System::run_shared` on a machine with static homes) or from the live
+//! placement map (`System::process`, which decodes one `MemRef` and
+//! looks its page up, as every replay under OS migration/replication
+//! does). The two must be observationally identical: same aggregate
+//! metrics, same per-cluster counters, on every directory and cache
+//! configuration. These tests replay randomized and generated traces
+//! through both sources and also pin the columnar codec as a lossless
+//! round trip, so a future change to the decomposition columns or the
+//! batch decoder fails loudly rather than silently shifting figures.
 
 use dsm_core::{System, SystemSpec};
-use dsm_trace::{read_shared, read_trace, write_shared, Scale, SharedTrace, WorkloadKind};
-use dsm_types::{Addr, ClusterId, Geometry, MemOp, MemRef, ProcId, Topology};
+use dsm_trace::{read_shared, write_shared, Scale, SharedTrace, WorkloadKind, BATCH};
+use dsm_types::{Addr, ClusterId, DecodedRef, Geometry, MemOp, MemRef, ProcId, Topology};
 
 /// Deterministic xorshift64* generator — no external crates, fixed seeds.
 struct Rng(u64);
@@ -47,7 +51,8 @@ fn random_refs(seed: u64, len: usize, topo: &Topology) -> Vec<MemRef> {
         .collect()
 }
 
-/// Replays `refs` through the original per-reference entry point.
+/// Replays `refs` one `System::process` call at a time: homes from the
+/// live placement map.
 fn metrics_per_ref(spec: &SystemSpec, refs: &[MemRef], data_bytes: u64) -> System {
     let topo = Topology::paper_default();
     let geo = Geometry::paper_default();
@@ -58,7 +63,8 @@ fn metrics_per_ref(spec: &SystemSpec, refs: &[MemRef], data_bytes: u64) -> Syste
     sys
 }
 
-/// Replays the same trace through the columnar batched path.
+/// Replays the same trace through the batched loop: on a fresh machine
+/// without OS page policies, homes from the trace's first-touch column.
 fn metrics_shared(spec: &SystemSpec, trace: &SharedTrace, data_bytes: u64) -> System {
     let mut sys = System::new(
         spec.clone(),
@@ -101,8 +107,6 @@ fn shared_trace_round_trips_random_refs() {
         let refs = random_refs(seed, 5000, &topo);
         let trace = SharedTrace::from_refs(topo, geo, &refs);
         assert_eq!(trace.len(), refs.len());
-        let back: Vec<MemRef> = trace.iter().collect();
-        assert_eq!(back, refs, "iter() must reproduce the input, seed {seed}");
         for (i, &r) in refs.iter().enumerate() {
             assert_eq!(trace.get(i), r, "get({i}) mismatch, seed {seed}");
         }
@@ -124,12 +128,22 @@ fn codec_v2_round_trips_shared_traces() {
     assert_eq!(back.topology(), &topo);
     assert_eq!(back.geometry(), &geo);
     assert_eq!(back.len(), trace.len());
-    assert!(trace.iter().eq(back.iter()), "columns diverge after codec");
-
-    // The record-oriented API accepts the same bytes.
-    let (t2, recs) = read_trace(buf.as_slice()).unwrap();
-    assert_eq!(t2, topo);
-    assert_eq!(recs, refs);
+    let (mut a, mut b) = (
+        [DecodedRef::default(); BATCH],
+        [DecodedRef::default(); BATCH],
+    );
+    let mut start = 0;
+    loop {
+        let n = trace.decode_batch(start, &mut a);
+        assert_eq!(back.decode_batch(start, &mut b), n);
+        if n == 0 {
+            break;
+        }
+        assert_eq!(a[..n], b[..n], "columns diverge after codec at {start}");
+        start += n;
+    }
+    let decoded: Vec<MemRef> = (0..back.len()).map(|i| back.get(i)).collect();
+    assert_eq!(decoded, refs);
 }
 
 #[test]
@@ -179,8 +193,8 @@ fn page_cache_systems_agree_across_paths() {
 #[test]
 fn migratory_systems_fall_back_and_agree() {
     // `origin` carries a migration/replication policy, so `run_shared`
-    // must reject the precomputed homes and take the per-reference
-    // fallback; both paths still have to agree exactly.
+    // must ignore the precomputed column and read homes from the live
+    // placement map, as `process` does; both still have to agree exactly.
     let topo = Topology::paper_default();
     let refs = random_refs(17, 20_000, &topo);
     assert_paths_agree(&SystemSpec::origin(), &refs, 1 << 20);

@@ -127,7 +127,8 @@ fn per_cluster_counts_sum_to_global() {
         w.shared_bytes(),
     )
     .unwrap();
-    sys.run(w.generate(&topo, Scale::new(0.3).unwrap()));
+    let refs = w.generate(&topo, Scale::new(0.3).unwrap());
+    sys.run_shared(&SharedTrace::from_refs(topo, geo, &refs));
     let m = sys.metrics();
     let mut refs = 0;
     let mut remote_reads = 0;
