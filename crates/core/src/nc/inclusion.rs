@@ -132,15 +132,21 @@ impl InclusionNc {
         self.insert(block, entry)
     }
 
-    /// Read-miss lookup: hits on valid data, keeps the entry.
+    /// Read-miss lookup: hits on valid data, keeps the entry. A dirty hit
+    /// hands the block to the cache `Modified`, so the entry becomes its
+    /// shadow, as on a write hit.
     pub fn read_lookup(&mut self, block: BlockAddr) -> Option<NcHit> {
         let set = self.set_of(block);
-        match self.frames.get(set, block.0).copied() {
-            Some(Entry::Clean) => Some(NcHit { dirty: false }),
-            Some(Entry::Dirty) => Some(NcHit { dirty: true }),
+        let entry = self.frames.get_mut(set, block.0)?;
+        match *entry {
+            Entry::Clean => Some(NcHit { dirty: false }),
+            Entry::Dirty => {
+                *entry = Entry::Shadow;
+                Some(NcHit { dirty: true })
+            }
             // A shadow entry has no data (the M copy lives in a cache);
             // the bus would have been answered by that cache already.
-            Some(Entry::Shadow) | None => None,
+            Entry::Shadow => None,
         }
     }
 
@@ -333,6 +339,22 @@ mod tests {
         let out = nc.on_victim(BlockAddr(9), false);
         assert!(!out.accepted);
         assert!(!nc.contains(BlockAddr(9)));
+    }
+
+    #[test]
+    fn dirty_read_hit_shadows_the_entry() {
+        // The cache installs a dirty read hit `Modified`: the entry must
+        // become its shadow, so relaxed inclusion still evicts (and
+        // writes back) the cache's copy rather than a stale `Dirty` one.
+        let mut nc = InclusionNc::sram_relaxed(CacheShape::from_sets_ways(1, 1, 64).unwrap());
+        let b = BlockAddr(7);
+        nc.on_remote_fill(b, true);
+        nc.on_victim(b, true);
+        assert_eq!(nc.read_lookup(b), Some(NcHit { dirty: true }));
+        assert!(nc.read_lookup(b).is_none(), "shadowed after the dirty hit");
+        let ev = nc.on_remote_fill(BlockAddr(8), false).expect("displaced");
+        assert!(ev.dirty);
+        assert!(ev.force_cache_eviction);
     }
 
     #[test]

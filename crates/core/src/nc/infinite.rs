@@ -64,12 +64,18 @@ impl InfiniteNc {
         self.entries.insert(block.0, entry);
     }
 
-    /// Read-miss lookup; the entry stays.
+    /// Read-miss lookup; the entry stays. A dirty hit hands the block to
+    /// the cache `Modified`, so the entry becomes its shadow, as on a
+    /// write hit.
     pub fn read_lookup(&mut self, block: BlockAddr) -> Option<NcHit> {
-        match self.entries.get(block.0) {
-            Some(Entry::Clean) => Some(NcHit { dirty: false }),
-            Some(Entry::Dirty) => Some(NcHit { dirty: true }),
-            Some(Entry::Shadow) | None => None,
+        let entry = self.entries.get_mut(block.0)?;
+        match *entry {
+            Entry::Clean => Some(NcHit { dirty: false }),
+            Entry::Dirty => {
+                *entry = Entry::Shadow;
+                Some(NcHit { dirty: true })
+            }
+            Entry::Shadow => None,
         }
     }
 
@@ -185,6 +191,18 @@ mod tests {
         assert!(nc.read_lookup(BlockAddr(1)).is_none()); // shadowed
         nc.on_victim(BlockAddr(1), true); // write-back returns
         assert_eq!(nc.read_lookup(BlockAddr(1)), Some(NcHit { dirty: true }));
+    }
+
+    #[test]
+    fn dirty_read_hit_shadows_the_entry() {
+        let mut nc = InfiniteNc::new(NcTechnology::Dram);
+        nc.on_victim(BlockAddr(1), true);
+        assert_eq!(nc.read_lookup(BlockAddr(1)), Some(NcHit { dirty: true }));
+        // The cache now holds the block `Modified`: no dirty NC data.
+        assert_eq!(nc.peek_dirty(BlockAddr(1)), Some(false));
+        assert!(nc.read_lookup(BlockAddr(1)).is_none());
+        nc.on_victim(BlockAddr(1), true); // its write-back returns
+        assert_eq!(nc.peek_dirty(BlockAddr(1)), Some(true));
     }
 
     #[test]

@@ -38,7 +38,7 @@ use std::sync::Arc;
 use dsm_types::{ConfigError, DsmError, Geometry, Topology};
 
 use crate::mmap::Mapping;
-use crate::shared::{derive_columns, AddrColumn, DeriveError, SharedTrace};
+use crate::shared::{derive_columns, AddrColumn, DeriveError, SharedTrace, OP_BIT, PROC_MASK};
 
 const MAGIC: &[u8; 4] = b"DSMT";
 const VERSION: u16 = 2;
@@ -99,8 +99,16 @@ impl From<CodecError> for DsmError {
     }
 }
 
+/// References per buffered write of [`write_shared`]: 64 KiB of
+/// addresses (a multiple of 8, so only the last chunk of the op bitmap
+/// ends in a partial byte).
+const CHUNK: usize = 8 * 1024;
+
 /// Writes `trace` to `w` in the `DSMT` columnar format, preserving the
-/// topology and geometry it was decomposed under.
+/// topology and geometry it was decomposed under. Each file column is
+/// encoded straight from the stored column it mirrors, 8192 references
+/// at a time; a mapped trace's address column is written from its file
+/// window in one piece.
 ///
 /// # Errors
 ///
@@ -108,48 +116,58 @@ impl From<CodecError> for DsmError {
 pub fn write_shared<W: Write>(mut w: W, trace: &SharedTrace) -> Result<(), CodecError> {
     let topo = trace.topology();
     let geo = trace.geometry();
-    let n = trace.len();
     w.write_all(MAGIC)?;
     w.write_all(&VERSION.to_le_bytes())?;
     w.write_all(&topo.clusters().to_le_bytes())?;
     w.write_all(&topo.procs_per_cluster().to_le_bytes())?;
     w.write_all(&geo.block_bytes().to_le_bytes())?;
     w.write_all(&geo.page_bytes().to_le_bytes())?;
-    w.write_all(&(n as u64).to_le_bytes())?;
-    let mut buf = Vec::with_capacity(64 * 1024);
-    let flush_at = 64 * 1024 - 16;
-    for i in 0..n {
-        buf.extend_from_slice(&trace.get(i).proc.0.to_le_bytes());
-        if buf.len() >= flush_at {
-            w.write_all(&buf)?;
-            buf.clear();
+    w.write_all(&(trace.len() as u64).to_le_bytes())?;
+    let (proc_op, wide_proc, addr) = trace.columns();
+    let mut buf = vec![0u8; CHUNK * 8];
+    // Processor column: the packed byte's id bits, or the wide column.
+    if wide_proc.is_empty() {
+        for refs in proc_op.chunks(CHUNK) {
+            let out = &mut buf[..refs.len() * 2];
+            for (o, &packed) in out.chunks_exact_mut(2).zip(refs) {
+                o.copy_from_slice(&u16::from(packed & PROC_MASK).to_le_bytes());
+            }
+            w.write_all(out)?;
+        }
+    } else {
+        for procs in wide_proc.chunks(CHUNK) {
+            let out = &mut buf[..procs.len() * 2];
+            for (o, &p) in out.chunks_exact_mut(2).zip(procs) {
+                o.copy_from_slice(&p.to_le_bytes());
+            }
+            w.write_all(out)?;
         }
     }
-    let mut bits = 0u8;
-    for i in 0..n {
-        if trace.get(i).op.is_write() {
-            bits |= 1 << (i % 8);
+    // Op bitmap: the packed bytes' write bits, eight references a byte.
+    for refs in proc_op.chunks(CHUNK) {
+        let out = &mut buf[..refs.len().div_ceil(8)];
+        for (o, eight) in out.iter_mut().zip(refs.chunks(8)) {
+            *o = eight.iter().enumerate().fold(0, |bits, (k, &packed)| {
+                bits | u8::from(packed & OP_BIT != 0) << k
+            });
         }
-        if i % 8 == 7 {
-            buf.push(bits);
-            bits = 0;
-            if buf.len() >= flush_at {
-                w.write_all(&buf)?;
-                buf.clear();
+        w.write_all(out)?;
+    }
+    // Address column.
+    match addr {
+        AddrColumn::Owned(addrs) => {
+            for chunk in addrs.chunks(CHUNK) {
+                let out = &mut buf[..chunk.len() * 8];
+                for (o, &a) in out.chunks_exact_mut(8).zip(chunk) {
+                    o.copy_from_slice(&a.to_le_bytes());
+                }
+                w.write_all(out)?;
             }
         }
-    }
-    if !n.is_multiple_of(8) {
-        buf.push(bits);
-    }
-    for i in 0..n {
-        buf.extend_from_slice(&trace.get(i).addr.0.to_le_bytes());
-        if buf.len() >= flush_at {
-            w.write_all(&buf)?;
-            buf.clear();
+        AddrColumn::Mapped { map, offset, count } => {
+            w.write_all(&map.bytes()[*offset..*offset + count * 8])?;
         }
     }
-    w.write_all(&buf)?;
     w.flush()?;
     Ok(())
 }
@@ -271,16 +289,18 @@ pub fn shared_from_mapping(map: Arc<Mapping>) -> Result<SharedTrace, CodecError>
     if bytes.len() > total {
         return Err(CodecError::Format("trailing bytes after trace".into()));
     }
-    let procs = &bytes[header_len..op_off];
     let ops = &bytes[op_off..addr_off];
-    let derived = derive_columns(&topo, &geo, count, |i| {
-        let proc = u16::from_le_bytes([procs[i * 2], procs[i * 2 + 1]]);
-        let write = ops[i / 8] & (1 << (i % 8)) != 0;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(&bytes[addr_off + i * 8..addr_off + i * 8 + 8]);
-        (proc, write, u64::from_le_bytes(a))
-    })
-    .map_err(|e| match e {
+    let procs = bytes[header_len..op_off]
+        .chunks_exact(2)
+        .map(|p| u16::from_le_bytes([p[0], p[1]]));
+    let writes = (0..count).map(|i| ops[i / 8] & (1 << (i % 8)) != 0);
+    let addrs = bytes[addr_off..total].chunks_exact(8).map(|a| {
+        let mut b = [0u8; 8];
+        b.copy_from_slice(a);
+        u64::from_le_bytes(b)
+    });
+    let refs = procs.zip(writes).zip(addrs).map(|((p, w), a)| (p, w, a));
+    let derived = derive_columns(&topo, &geo, refs).map_err(|e| match e {
         DeriveError::TooManyClusters(c) => CodecError::Config(ConfigError::new(format!(
             "SharedTrace cluster columns are one byte: {c} clusters exceed 256"
         ))),
@@ -470,7 +490,7 @@ mod tests {
 
     /// A deterministic pseudo-random reference stream (xorshift) for the
     /// mapped-vs-owned equivalence checks.
-    fn random_refs(seed: u64, n: u64) -> Vec<MemRef> {
+    fn random_refs(seed: u64, n: usize) -> Vec<MemRef> {
         let mut x = seed | 1;
         (0..n)
             .map(|_| {
@@ -617,6 +637,118 @@ mod tests {
                 });
             }
         });
+    }
+
+    /// Every reference's decoded `(home, first touch)`.
+    fn homes_of(trace: &SharedTrace) -> Vec<(u16, bool)> {
+        use dsm_types::DecodedRef;
+        let mut out = Vec::new();
+        let mut batch = [DecodedRef::default(); crate::BATCH];
+        let mut start = 0;
+        loop {
+            let n = trace.decode_batch(start, &mut batch);
+            if n == 0 {
+                return out;
+            }
+            out.extend(batch[..n].iter().map(|d| (d.home.0, d.first_touch)));
+            start += n;
+        }
+    }
+
+    #[test]
+    fn first_touch_homes_straddle_the_flat_table_cap() {
+        // Small page numbers interleaved with pages around the flat
+        // table's 2^20-page cap and near the top of the address space:
+        // both page stores must assign exactly the homes a naive
+        // first-touch map does, through the in-memory builder and the
+        // file parser alike.
+        let topo = Topology::paper_default();
+        let geo = Geometry::paper_default();
+        let top = u64::MAX >> 12;
+        let pages = [0, top, 1, (1 << 20) - 1, 1 << 20, top - 1, (1 << 20) + 1, 5];
+        let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+        let refs: Vec<MemRef> = (0..4000u64)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let page = pages[(x % 8) as usize];
+                let addr = Addr((page << 12) | ((x >> 20) % 4096));
+                let proc = ProcId(((x >> 40) % 32) as u16);
+                if i % 3 == 0 {
+                    MemRef::write(proc, addr)
+                } else {
+                    MemRef::read(proc, addr)
+                }
+            })
+            .collect();
+        let mut naive = std::collections::HashMap::new();
+        let want: Vec<(u16, bool)> = refs
+            .iter()
+            .map(|r| {
+                let cluster = topo.split_of(r.proc).0 .0;
+                let mut first = false;
+                let home = *naive.entry(r.addr.0 >> 12).or_insert_with(|| {
+                    first = true;
+                    cluster
+                });
+                (home, first)
+            })
+            .collect();
+        assert_eq!(naive.len(), pages.len());
+        let owned = SharedTrace::from_refs(topo, geo, &refs);
+        assert_eq!(homes_of(&owned), want);
+        let mut bytes = Vec::new();
+        write_shared(&mut bytes, &owned).unwrap();
+        let mapped = mapped_from(bytes).unwrap();
+        assert_eq!(homes_of(&mapped), want);
+        assert_eq!(refs_of(&mapped), refs);
+    }
+
+    #[test]
+    fn mapped_trace_rewrites_its_file_byte_for_byte() {
+        for n in [0, 1, 7, 8, 9, 10_007] {
+            let refs = random_refs(n as u64 + 1, n);
+            let owned =
+                SharedTrace::from_refs(Topology::paper_default(), Geometry::paper_default(), &refs);
+            let mut bytes = Vec::new();
+            write_shared(&mut bytes, &owned).unwrap();
+            let mapped = mapped_from(bytes.clone()).unwrap();
+            let mut again = Vec::new();
+            write_shared(&mut again, &mapped).unwrap();
+            assert!(again == bytes, "{n} references: rewritten file differs");
+        }
+    }
+
+    #[test]
+    fn wide_processor_traces_roundtrip() {
+        // 32 clusters x 4 processors = 128 > 64: the processor column is
+        // encoded from the wide side column, not the packed byte.
+        let topo = Topology::new(32, 4).unwrap();
+        let refs: Vec<MemRef> = random_refs(5, 3001)
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| MemRef::new(ProcId((i * 37 % 128) as u16), r.op, r.addr))
+            .collect();
+        let owned = SharedTrace::from_refs(topo, Geometry::paper_default(), &refs);
+        let mut bytes = Vec::new();
+        write_shared(&mut bytes, &owned).unwrap();
+        let n = refs.len();
+        for (i, r) in refs.iter().enumerate() {
+            let at = 34 + 2 * i;
+            assert_eq!(bytes[at..at + 2], r.proc.0.to_le_bytes(), "proc {i}");
+            assert_eq!(
+                bytes[34 + 2 * n + i / 8] >> (i % 8) & 1 == 1,
+                r.op.is_write()
+            );
+        }
+        let back = read_shared(bytes.as_slice()).unwrap();
+        assert_eq!(back.topology(), &topo);
+        assert_eq!(refs_of(&back), refs);
+        assert_eq!(homes_of(&back), homes_of(&owned));
+        let mut again = Vec::new();
+        write_shared(&mut again, &back).unwrap();
+        assert!(again == bytes, "rewritten wide trace differs");
     }
 
     #[test]

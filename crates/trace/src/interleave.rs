@@ -1,38 +1,17 @@
 //! Interleaving per-processor reference streams into one global trace.
+//!
+//! A kernel buffers each processor's references of one phase (the code
+//! between two barriers) in its own stream, then appends the phase to the
+//! trace round-robin: one reference from each live stream in processor
+//! order, repeatedly — the lock-step progress a trace-driven simulator
+//! assumes between synchronization points.
+//!
+//! This is the first of the trace layer's per-reference stages (generate,
+//! build the replay columns, encode, map), so it is kept cheap: the
+//! stream buffers live across phases, the trace grows geometrically, and
+//! the merge copies whole passes with one cursor for every live stream.
 
 use dsm_types::{Addr, MemOp, MemRef, ProcId, Topology};
-
-/// Round-robin interleaves per-processor streams: one reference from each
-/// non-exhausted stream in processor order, repeatedly. This models the
-/// lock-step progress a trace-driven simulator assumes between
-/// synchronization points.
-#[must_use]
-pub fn round_robin(streams: Vec<Vec<MemRef>>) -> Vec<MemRef> {
-    let total: usize = streams.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    round_robin_into(streams, &mut out);
-    out
-}
-
-/// [`round_robin`], appending into an existing trace instead of
-/// allocating. Exhausted streams are dropped from the scan set after
-/// every pass, so skewed stream lengths (one long stream, many short
-/// ones) cost O(total references), not O(streams × longest).
-pub fn round_robin_into(streams: Vec<Vec<MemRef>>, out: &mut Vec<MemRef>) {
-    let mut cursors = vec![0usize; streams.len()];
-    let mut active: Vec<usize> = (0..streams.len())
-        .filter(|&i| !streams[i].is_empty())
-        .collect();
-    while !active.is_empty() {
-        // One reference from each live stream in processor order, then
-        // drain the streams this pass exhausted.
-        active.retain(|&i| {
-            out.push(streams[i][cursors[i]]);
-            cursors[i] += 1;
-            cursors[i] < streams[i].len()
-        });
-    }
-}
 
 /// Collects one *phase* of a parallel program: every processor's references
 /// between two barriers. [`PhaseBuilder::interleave_into`] merges them
@@ -117,14 +96,34 @@ impl PhaseBuilder {
         self.streams.iter().all(Vec::is_empty)
     }
 
-    /// Interleaves the phase round-robin and appends it to `trace`,
-    /// emptying the builder for reuse in the next phase.
+    /// Interleaves the phase round-robin — one reference from each
+    /// non-exhausted stream in processor order, repeatedly — and appends
+    /// it to `trace`, emptying the builder for the next phase (the stream
+    /// buffers keep their capacity).
     pub fn interleave_into(&mut self, trace: &mut Vec<MemRef>) {
-        let streams = std::mem::take(&mut self.streams);
-        let n = streams.len();
-        trace.reserve_exact(streams.iter().map(Vec::len).sum());
-        round_robin_into(streams, trace);
-        self.streams = vec![Vec::new(); n];
+        // Geometric growth: a kernel appends tens of phases, and growing
+        // to the exact size would reallocate the whole trace at each.
+        trace.reserve(self.len());
+        let mut live: Vec<&[MemRef]> = self
+            .streams
+            .iter()
+            .filter(|s| !s.is_empty())
+            .map(Vec::as_slice)
+            .collect();
+        // Every live stream advances one reference per pass, so all the
+        // passes up to the shortest live stream's end share one cursor;
+        // then the streams it exhausted drop out, in processor order.
+        let mut cursor = 0;
+        while let Some(end) = live.iter().map(|s| s.len()).min() {
+            for k in cursor..end {
+                trace.extend(live.iter().map(|s| s[k]));
+            }
+            cursor = end;
+            live.retain(|s| s.len() > cursor);
+        }
+        for s in &mut self.streams {
+            s.clear();
+        }
     }
 }
 
@@ -136,33 +135,44 @@ mod tests {
         MemRef::read(ProcId(p), Addr(a))
     }
 
+    /// Pushes `streams[i]` (addresses) as processor `i`'s references of
+    /// one phase on a machine with one processor per stream, and
+    /// interleaves the phase onto `out`.
+    fn interleave(streams: &[Vec<u64>], out: &mut Vec<MemRef>) {
+        let procs = u16::try_from(streams.len()).unwrap();
+        let mut phase = PhaseBuilder::new(&Topology::new(procs, 1).unwrap());
+        for (p, stream) in (0..procs).zip(streams) {
+            for &a in stream {
+                phase.read(ProcId(p), Addr(a));
+            }
+        }
+        phase.interleave_into(out);
+        assert!(phase.is_empty());
+    }
+
+    fn addrs_of(streams: &[Vec<u64>]) -> Vec<u64> {
+        let mut out = Vec::new();
+        interleave(streams, &mut out);
+        out.iter().map(|m| m.addr.0).collect()
+    }
+
     #[test]
     fn round_robin_alternates() {
-        let out = round_robin(vec![vec![r(0, 0), r(0, 1)], vec![r(1, 10), r(1, 11)]]);
-        let addrs: Vec<u64> = out.iter().map(|m| m.addr.0).collect();
-        assert_eq!(addrs, vec![0, 10, 1, 11]);
+        assert_eq!(addrs_of(&[vec![0, 1], vec![10, 11]]), vec![0, 10, 1, 11]);
     }
 
     #[test]
     fn round_robin_handles_uneven_streams() {
-        let out = round_robin(vec![vec![r(0, 0)], vec![r(1, 10), r(1, 11), r(1, 12)]]);
-        let addrs: Vec<u64> = out.iter().map(|m| m.addr.0).collect();
-        assert_eq!(addrs, vec![0, 10, 11, 12]);
+        assert_eq!(addrs_of(&[vec![0], vec![10, 11, 12]]), vec![0, 10, 11, 12]);
     }
 
     #[test]
     fn round_robin_skewed_streams_preserve_order() {
         // Many short streams around one long one: exhausted streams must
         // drop out without disturbing the processor-order interleave.
-        let streams = vec![
-            vec![r(0, 0)],
-            (0..100).map(|i| r(1, 100 + i)).collect(),
-            vec![],
-            vec![r(3, 300), r(3, 301)],
-        ];
-        let out = round_robin(streams);
-        assert_eq!(out.len(), 103);
-        let addrs: Vec<u64> = out.iter().map(|m| m.addr.0).collect();
+        let streams = vec![vec![0], (100..200).collect(), vec![], vec![300, 301]];
+        let addrs = addrs_of(&streams);
+        assert_eq!(addrs.len(), 103);
         assert_eq!(&addrs[..5], &[0, 100, 300, 101, 301]);
         assert_eq!(addrs[5..], (102..200).collect::<Vec<u64>>());
     }
@@ -170,15 +180,51 @@ mod tests {
     #[test]
     fn round_robin_into_appends() {
         let mut out = vec![r(9, 999)];
-        round_robin_into(vec![vec![r(0, 0)], vec![r(1, 10)]], &mut out);
+        interleave(&[vec![0], vec![10]], &mut out);
         let addrs: Vec<u64> = out.iter().map(|m| m.addr.0).collect();
         assert_eq!(addrs, vec![999, 0, 10]);
+        assert_eq!(out[2].proc, ProcId(1));
     }
 
     #[test]
     fn round_robin_empty() {
-        assert!(round_robin(vec![]).is_empty());
-        assert!(round_robin(vec![vec![], vec![]]).is_empty());
+        assert!(addrs_of(&[vec![]]).is_empty());
+        assert!(addrs_of(&[vec![], vec![]]).is_empty());
+        let mut out = vec![r(0, 7)];
+        interleave(&[vec![], vec![], vec![]], &mut out);
+        assert_eq!(out, vec![r(0, 7)]);
+    }
+
+    #[test]
+    fn reused_builder_matches_a_naive_interleave() {
+        // Phases of random stream lengths through one builder (buffers
+        // kept across phases) against a per-reference round robin.
+        let topo = Topology::new(8, 2).unwrap();
+        let mut phase = PhaseBuilder::new(&topo);
+        let mut trace = Vec::new();
+        let mut want = Vec::new();
+        let mut x = 0x2545_F491_4F6C_DD1D_u64;
+        for _ in 0..20 {
+            let streams: Vec<Vec<MemRef>> = (0..16u16)
+                .map(|p| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    (0..x % 40).map(|i| r(p, x ^ i)).collect()
+                })
+                .collect();
+            for s in &streams {
+                for m in s {
+                    phase.push(m.proc, m.op, m.addr);
+                }
+            }
+            phase.interleave_into(&mut trace);
+            let longest = streams.iter().map(Vec::len).max().unwrap_or(0);
+            for k in 0..longest {
+                want.extend(streams.iter().filter_map(|s| s.get(k)));
+            }
+        }
+        assert_eq!(trace, want);
     }
 
     #[test]

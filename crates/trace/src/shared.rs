@@ -32,7 +32,7 @@
 //! the loop is autovectorizer-friendly; 11 bytes per reference stream
 //! through the hot loop (addr 8 + packed proc/op 1 + two cluster bytes).
 //!
-//! The address column itself lives behind [`AddrColumn`]: either an
+//! The address column itself lives behind `AddrColumn`: either an
 //! owned `Vec<u64>` (traces built in memory) or a borrowed window of a
 //! trace file's bytes ([`crate::mmap::Mapping`]), as every trace the
 //! codec parses has. For a memory-mapped file loading is zero-copy —
@@ -40,10 +40,17 @@
 //! traces start instantly, and every sweep worker shares the same
 //! physical pages read-only.
 //!
+//! Construction is one pass over the references, shared by the
+//! in-memory builder ([`SharedTrace::try_from_refs`]) and the trace-file
+//! parser ([`crate::codec::shared_from_mapping`]): processors map to
+//! clusters through a table built once, first-touch homes come from a
+//! flat page-indexed table (a [`DenseMap`] only for page numbers past
+//! its cap), and the pre-sized columns are written in place. The codec's
+//! writer encodes the file straight from these columns.
+//!
 //! [`SharedTrace::get`] turns one reference back into a [`MemRef`] for
-//! the paths that need the array-of-structs form: the codec's writer,
-//! and the invariant checker's report of the reference it stopped
-//! after.
+//! the one path that needs the array-of-structs form: the invariant
+//! checker's report of the reference it stopped after.
 
 use std::sync::Arc;
 
@@ -60,12 +67,12 @@ use crate::mmap::Mapping;
 pub const BATCH: usize = 16;
 
 /// Bit 6 of the packed `proc_op` column: the reference is a write.
-const OP_BIT: u8 = 1 << 6;
+pub(crate) const OP_BIT: u8 = 1 << 6;
 /// Bit 7 of the packed `proc_op` column: first reference to its page.
 const FIRST_TOUCH_BIT: u8 = 1 << 7;
 /// Bits 0..6 of the packed `proc_op` column: the global processor id
 /// (machines up to 64 processors; wider machines use the side column).
-const PROC_MASK: u8 = OP_BIT - 1;
+pub(crate) const PROC_MASK: u8 = OP_BIT - 1;
 
 /// Reads the little-endian `u64` at `off` — the unaligned load the
 /// mapped address column needs (a trace file's addr column starts at byte
@@ -164,37 +171,85 @@ pub(crate) enum DeriveError {
     BadProc { index: usize, proc: u16 },
 }
 
-/// One pass over `count` references — `nth(i)` yields `(proc, write,
-/// addr)` — producing the packed and precomputed columns: processor
-/// split, issuing cluster, and the page's first-touch home in trace
-/// order (exactly the assignments a first-touch placement map makes
-/// during replay).
+/// Page numbers below this cap find their first-touch home in a flat
+/// table (two bytes per page, 2 MiB at most): the kernels number their
+/// pages densely from 0. Pages at or above it — arbitrary 64-bit
+/// addresses from trace files — fall back to a [`DenseMap`].
+const FLAT_PAGES: u64 = 1 << 20;
+
+/// Each page's first-touch home, assigned in trace order.
+#[derive(Default)]
+struct FirstTouch {
+    /// Home cluster + 1 per page below [`FLAT_PAGES`]; 0 = unassigned.
+    flat: Vec<u16>,
+    /// Homes of the pages at or above [`FLAT_PAGES`].
+    sparse: DenseMap<u8>,
+}
+
+impl FirstTouch {
+    /// The home of `page`, which becomes `cluster` if this is the page's
+    /// first reference — reported by the flag.
+    #[inline(always)]
+    fn home(&mut self, page: u64, cluster: u8) -> (u8, bool) {
+        if page < FLAT_PAGES {
+            #[allow(clippy::cast_possible_truncation)] // page < 2^20
+            let p = page as usize;
+            if p >= self.flat.len() {
+                self.flat.resize(p + 1, 0);
+            }
+            match self.flat[p] {
+                0 => {
+                    self.flat[p] = u16::from(cluster) + 1;
+                    (cluster, true)
+                }
+                #[allow(clippy::cast_possible_truncation)] // stored from a u8
+                h => ((h - 1) as u8, false),
+            }
+        } else if let Some(&h) = self.sparse.get(page) {
+            (h, false)
+        } else {
+            self.sparse.insert(page, cluster);
+            (cluster, true)
+        }
+    }
+}
+
+/// One pass over the references — `refs` yields `(proc, write, addr)` —
+/// producing the packed and precomputed columns: processor split,
+/// issuing cluster, and the page's first-touch home in trace order
+/// (exactly the assignments a first-touch placement map makes during
+/// replay). The columns are allocated once and written in place.
 pub(crate) fn derive_columns(
     topo: &Topology,
     geo: &Geometry,
-    count: usize,
-    mut nth: impl FnMut(usize) -> (u16, bool, u64),
+    refs: impl ExactSizeIterator<Item = (u16, bool, u64)>,
 ) -> Result<DerivedColumns, DeriveError> {
     if topo.clusters() > 256 {
         return Err(DeriveError::TooManyClusters(topo.clusters()));
     }
-    let total = topo.total_procs();
-    let wide = total > 64;
-    let mut proc_op = Vec::with_capacity(count);
-    let mut wide_proc = Vec::with_capacity(if wide { count } else { 0 });
-    let mut home_cluster = Vec::with_capacity(count);
-    let mut issuing_cluster = Vec::with_capacity(count);
-    let mut homes: DenseMap<u8> = DenseMap::new();
-    for i in 0..count {
-        let (proc, write, addr) = nth(i);
-        if proc >= total {
+    // Every processor's issuing cluster, split once per call.
+    #[allow(clippy::cast_possible_truncation)] // clusters <= 256 checked above
+    let cluster_of: Vec<u8> = (0..topo.total_procs())
+        .map(|p| topo.split_of(ProcId(p)).0 .0 as u8)
+        .collect();
+    let wide = cluster_of.len() > 64;
+    let page_shift = geo.page_bytes().trailing_zeros();
+    let count = refs.len();
+    let mut proc_op = vec![0u8; count];
+    let mut wide_proc = vec![0u16; if wide { count } else { 0 }];
+    let mut home_cluster = vec![0u8; count];
+    let mut issuing_cluster = vec![0u8; count];
+    let mut first_touch = FirstTouch::default();
+    let columns = proc_op
+        .iter_mut()
+        .zip(&mut home_cluster)
+        .zip(&mut issuing_cluster);
+    for (i, ((proc, write, addr), ((packed, home), issuing))) in refs.zip(columns).enumerate() {
+        let Some(&cl) = cluster_of.get(usize::from(proc)) else {
             return Err(DeriveError::BadProc { index: i, proc });
-        }
-        let (cl, _) = topo.split_of(ProcId(proc));
-        #[allow(clippy::cast_possible_truncation)] // clusters <= 256 checked above
-        let cl8 = cl.0 as u8;
-        let mut packed = if wide {
-            wide_proc.push(proc);
+        };
+        let mut byte = if wide {
+            wide_proc[i] = proc;
             0
         } else {
             #[allow(clippy::cast_possible_truncation)] // total <= 64 in this arm
@@ -203,20 +258,15 @@ pub(crate) fn derive_columns(
             }
         };
         if write {
-            packed |= OP_BIT;
+            byte |= OP_BIT;
         }
-        let page = geo.page_of(Addr(addr)).0;
-        let home = match homes.get(page) {
-            Some(&h) => h,
-            None => {
-                homes.insert(page, cl8);
-                packed |= FIRST_TOUCH_BIT;
-                cl8
-            }
-        };
-        proc_op.push(packed);
-        home_cluster.push(home);
-        issuing_cluster.push(cl8);
+        let (h, first) = first_touch.home(addr >> page_shift, cl);
+        if first {
+            byte |= FIRST_TOUCH_BIT;
+        }
+        *packed = byte;
+        *home = h;
+        *issuing = cl;
     }
     Ok(DerivedColumns {
         proc_op,
@@ -289,10 +339,11 @@ impl SharedTrace {
         geo: Geometry,
         refs: &[MemRef],
     ) -> Result<Self, ConfigError> {
-        let derived = derive_columns(&topo, &geo, refs.len(), |i| {
-            let r = &refs[i];
-            (r.proc.0, r.op.is_write(), r.addr.0)
-        })
+        let derived = derive_columns(
+            &topo,
+            &geo,
+            refs.iter().map(|r| (r.proc.0, r.op.is_write(), r.addr.0)),
+        )
         .map_err(|e| match e {
             DeriveError::TooManyClusters(c) => ConfigError::new(format!(
                 "SharedTrace cluster columns are one byte: {c} clusters exceed 256"
@@ -395,6 +446,13 @@ impl SharedTrace {
             AddrColumn::Owned(_) => Ok(()),
             AddrColumn::Mapped { map, .. } => map.revalidate(),
         }
+    }
+
+    /// The stored columns the codec's writer encodes: the packed
+    /// processor/op bytes, the full-width processor ids (empty on
+    /// machines of up to 64 processors) and the address column.
+    pub(crate) fn columns(&self) -> (&[u8], &[u16], &AddrColumn) {
+        (&self.proc_op, &self.wide_proc, &self.addr)
     }
 
     /// The reference at `i` in its original array-of-structs form.

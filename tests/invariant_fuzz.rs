@@ -62,6 +62,11 @@ fn config_matrix() -> Vec<SystemSpec> {
         SystemSpec::vpp(PcSize::Bytes(8192)).with_cache(2048, 2),
         SystemSpec::vxp(PcSize::Bytes(8192), 4).with_cache(2048, 2),
         SystemSpec::origin().with_cache(2048, 2),
+        SystemSpec::nc().with_cache(2048, 2),
+        SystemSpec::ncd().with_cache(2048, 2),
+        SystemSpec::ncs().with_cache(2048, 2),
+        SystemSpec::infinite_dram().with_cache(2048, 2),
+        SystemSpec::ncp(PcSize::Bytes(8192)).with_cache(2048, 2),
     ]
 }
 

@@ -211,3 +211,55 @@ fn workload_traces_agree_across_paths() {
         assert_paths_agree(&SystemSpec::vb(), &refs, w.shared_bytes());
     }
 }
+
+/// The Fx hash of a trace's `write_shared` bytes.
+fn file_hash(bytes: &[u8]) -> u64 {
+    use std::hash::Hasher;
+    let mut h = dsm_types::FxHasher::default();
+    h.write(bytes);
+    h.finish()
+}
+
+fn encode(w: &dyn dsm_trace::Workload, scale: Scale) -> Vec<u8> {
+    let topo = Topology::paper_default();
+    let refs = w.generate(&topo, scale);
+    let trace = SharedTrace::from_refs(topo, Geometry::paper_default(), &refs);
+    let mut bytes = Vec::new();
+    write_shared(&mut bytes, &trace).unwrap();
+    bytes
+}
+
+#[test]
+fn trace_files_stay_byte_identical() {
+    // Generation, the interleave, the derived columns and the encoder
+    // all feed these bytes; the pins are the files this trace layer has
+    // always written (length, Fx hash), so a faster stage that changes
+    // one reference, or its order, fails here.
+    let dev = [
+        (WorkloadKind::Barnes, 1_657_618, 0xb494_0750_6b54_da87),
+        (WorkloadKind::Cholesky, 2_530_717, 0xa63d_924f_913f_8eb5),
+        (WorkloadKind::Fft, 298_114, 0x2fcf_7159_dd27_9842),
+        (WorkloadKind::Fmm, 1_112_002, 0x2a17_a879_5a01_7046),
+        (WorkloadKind::Lu, 1_975_219, 0x870d_3af4_c2a4_1980),
+        (WorkloadKind::Ocean, 2_145_724, 0x1489_62b7_16e3_390c),
+        (WorkloadKind::Radix, 2_778_658, 0x9695_c51d_61b5_2481),
+        (WorkloadKind::Raytrace, 33_011_422, 0x550b_44a2_3716_a848),
+    ];
+    for (kind, len, hash) in dev {
+        let bytes = encode(kind.dev_instance().as_ref(), Scale::full());
+        assert_eq!(
+            (bytes.len(), file_hash(&bytes)),
+            (len, hash),
+            "dev {kind} at scale 1.0"
+        );
+    }
+    let fft = encode(
+        WorkloadKind::Fft.paper_instance().as_ref(),
+        Scale::new(0.05).unwrap(),
+    );
+    assert_eq!(
+        (fft.len(), file_hash(&fft)),
+        (8_460_322, 0xcf8c_2532_a336_2555),
+        "paper FFT at scale 0.05"
+    );
+}
