@@ -16,8 +16,8 @@
 //! anomaly triple (see EXPERIMENTS.md): radix is the one workload whose
 //! victim-path configurations simulate *slower* than the baseline, and
 //! this binary's phase table is how that was diagnosed. `--systems`
-//! accepts the `simulate` family names (`base`, `nc`, `vb`, `vp`, `ncd`,
-//! `ncs`, `inf-dram`, `ncp`, `vbp`, `vpp`, `vxp`, `origin`, `origin-vb`).
+//! takes comma-separated specs as `simulate --system` does, e.g.
+//! `base,vb,ncp:pc=1/16:threshold=fixed32`.
 //!
 //! The replay stops every `--batch` references (default 65536) — the
 //! batched loop every run uses, through `System::run_shared_windowed` —
@@ -34,10 +34,11 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use dsm_bench::harness::{parse_argv, report_failure, usage_exit, RunArgs};
+use dsm_core::config::text;
 use dsm_core::obs::span::SpanTracer;
 use dsm_core::obs::{write_json_atomic, Json};
 use dsm_core::runner::report_of;
-use dsm_core::{PcSize, PhaseProfiler, System, SystemSpec};
+use dsm_core::{PhaseProfiler, System, SystemSpec};
 use dsm_trace::{SharedTrace, WorkloadKind};
 use dsm_types::{DsmError, Geometry, Topology};
 
@@ -52,36 +53,9 @@ struct Flags {
     chrome_trace: Option<PathBuf>,
 }
 
-/// Maps a `simulate` system-family token to its paper configuration
-/// (page caches at 5% of the data set, `vxp` threshold 32 — the values
-/// the figures use).
-fn spec_of(token: &str) -> Result<SystemSpec, String> {
-    Ok(match token {
-        "base" => SystemSpec::base(),
-        "nc" => SystemSpec::nc(),
-        "vb" => SystemSpec::vb(),
-        "vp" => SystemSpec::vp(),
-        "ncd" => SystemSpec::ncd(),
-        "ncs" => SystemSpec::ncs(),
-        "inf-dram" => SystemSpec::infinite_dram(),
-        "ncp" => SystemSpec::ncp(PcSize::DataFraction(5)),
-        "vbp" => SystemSpec::vbp(PcSize::DataFraction(5)),
-        "vpp" => SystemSpec::vpp(PcSize::DataFraction(5)),
-        "vxp" => SystemSpec::vxp(PcSize::DataFraction(5), 32),
-        "origin" => SystemSpec::origin(),
-        "origin-vb" => SystemSpec::origin_vb(),
-        other => {
-            return Err(format!(
-                "unknown system '{other}' (known: base, nc, vb, vp, ncd, ncs, \
-                 inf-dram, ncp, vbp, vpp, vxp, origin, origin-vb)"
-            ))
-        }
-    })
-}
-
 fn parse_flags() -> Flags {
     let mut workload = WorkloadKind::Radix;
-    let mut specs: Option<Vec<SystemSpec>> = None;
+    let mut systems = "base,vb,vpp".to_owned();
     let mut batch = 65536usize;
     let mut out = None;
     let mut chrome_trace = None;
@@ -91,22 +65,14 @@ fn parse_flags() -> Flags {
             let v = args
                 .get(i + 1)
                 .ok_or_else(|| "--workload requires a value".to_owned())?;
-            workload = WorkloadKind::all()
-                .into_iter()
-                .find(|k| k.display_name().eq_ignore_ascii_case(v.trim()))
-                .ok_or_else(|| format!("unknown workload '{v}'"))?;
+            workload = WorkloadKind::from_name(v)?;
             Ok(2)
         }
         "--systems" => {
             let v = args
                 .get(i + 1)
                 .ok_or_else(|| "--systems requires a value".to_owned())?;
-            specs = Some(
-                v.split(',')
-                    .filter(|s| !s.trim().is_empty())
-                    .map(|s| spec_of(s.trim()))
-                    .collect::<Result<Vec<_>, _>>()?,
-            );
+            systems.clone_from(v);
             Ok(2)
         }
         "--batch" => {
@@ -136,16 +102,16 @@ fn parse_flags() -> Flags {
         _ => Ok(0),
     })
     .unwrap_or_else(|msg| usage_exit(USAGE, &msg));
+    let specs = systems
+        .split(',')
+        .filter(|s| !s.trim().is_empty())
+        .map(|s| text::parse(s.trim()))
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap_or_else(|e| usage_exit(USAGE, &e.to_string()));
     Flags {
         run,
         workload,
-        specs: specs.unwrap_or_else(|| {
-            vec![
-                SystemSpec::base(),
-                SystemSpec::vb(),
-                SystemSpec::vpp(PcSize::DataFraction(5)),
-            ]
-        }),
+        specs,
         batch,
         out,
         chrome_trace,

@@ -101,12 +101,7 @@ struct Flags {
 fn parse_workload_csv(csv: &str) -> Result<Vec<WorkloadKind>, String> {
     csv.split(',')
         .filter(|s| !s.trim().is_empty())
-        .map(|name| {
-            WorkloadKind::all()
-                .into_iter()
-                .find(|k| k.display_name().eq_ignore_ascii_case(name.trim()))
-                .ok_or_else(|| format!("unknown workload '{}'", name.trim()))
-        })
+        .map(WorkloadKind::from_name)
         .collect()
 }
 

@@ -3,27 +3,18 @@
 //! NC, with the inclusion NC (`ncp`, i.e. R-NUMA), and with the victim NC
 //! (`vbp`).
 
-use dsm_core::{CounterSource, PcSize, PcSpec, SystemSpec, ThresholdPolicy};
+use dsm_core::{PcSize, SystemSpec};
 use dsm_trace::WorkloadKind;
 use dsm_types::DsmError;
 
 use crate::harness::{miss_ratio_table, names, run_grid, FigureTable, GridRow, TraceSet};
 
-fn pc_only(size: PcSize, suffix: &str) -> SystemSpec {
-    SystemSpec {
-        name: format!("pc{suffix}"),
-        cache: dsm_core::CacheSpec::default(),
-        nc: dsm_core::NcSpec::None,
-        pc: Some(PcSpec {
-            size,
-            counters: CounterSource::Directory,
-            threshold: ThresholdPolicy::Adaptive { initial: 32 },
-            decrement_on_invalidation: false,
-        }),
-        dirty_shared: false,
-        migrep: None,
-        directory: dsm_core::DirectorySpec::FullMap,
-    }
+/// `base` with `ncp`'s page cache of `1/d` of the data set.
+fn pc_only(d: u32) -> SystemSpec {
+    let mut spec = SystemSpec::base();
+    spec.pc = SystemSpec::ncp(PcSize::DataFraction(d)).pc;
+    spec.name = format!("pc{d}");
+    spec
 }
 
 /// The twelve configurations of Figure 7: {no NC, nc, vb} x PC
@@ -34,7 +25,7 @@ pub fn specs() -> Vec<SystemSpec> {
     // No NC.
     out.push(SystemSpec::base());
     for d in [9u32, 7, 5] {
-        out.push(pc_only(PcSize::DataFraction(d), &d.to_string()));
+        out.push(pc_only(d));
     }
     // Inclusion NC (R-NUMA).
     out.push(SystemSpec::nc());

@@ -5,12 +5,12 @@
 //! Each line is one JSON object:
 //!
 //! ```text
-//! {"key":{"spec":{...},"workload":"lu","scale":0.05},"wall_s":1.2,"report":{...}}
-//! {"key":{"spec":{...},"workload":"lu","scale":0.05},"wall_s":0.4,"failed":{"message":...,"repro":...}}
+//! {"key":{"spec":"ncp:pc=1/16:threshold=fixed32","workload":"lu","scale":0.05},"wall_s":1.2,"report":{...}}
+//! {"key":{"spec":"vb","workload":"lu","scale":0.05},"wall_s":0.4,"failed":{"message":...,"repro":...}}
 //! ```
 //!
 //! `key` identifies the simulation, not the figure that asked for it:
-//! the point's [`PointKey`] (every field of the system spec but its
+//! the spec's text (`dsm_core::config::text`: every field but the
 //! display name), the workload and the trace scale. The point table runs
 //! each key once per `reproduce`, so one lookup serves every figure that
 //! plots the point, and an entry written at one scale never answers for
@@ -24,27 +24,27 @@
 //! them, in submission order, so a killed-and-resumed run merges to
 //! byte-identical output. Failed entries are *not* skipped — a resumed
 //! run retries them. A torn final line (the crash happened mid-write)
-//! is ignored, as is everything after it. An entry without a `key` (the
-//! older per-figure `scope`/`label` format) is rejected as bad input.
+//! is ignored, as is everything after it. An entry of an older format
+//! (no `key`, or a JSON object for `spec`) is rejected as bad input.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use dsm_core::config::text;
 use dsm_core::obs::Json;
 use dsm_core::Report;
 use dsm_trace::Scale;
 use dsm_types::{DsmError, FxHashMap};
 
-use crate::points::PointKey;
 use crate::sweep::{PointFailure, SweepPoint};
 
 /// The journal key of `point` at `scale`. Entries match by its rendering
 /// (rendering a parsed key reproduces the text exactly).
 fn entry_key(point: &SweepPoint, scale: Scale) -> Json {
     Json::obj()
-        .set("spec", PointKey::of(&point.spec).to_json())
+        .set("spec", text::render(&point.spec))
         .set("workload", point.workload.display_name().to_lowercase())
         .set("scale", scale.factor())
 }
@@ -116,10 +116,11 @@ impl SweepJournal {
             let Ok(entry) = Json::parse(line) else {
                 break; // torn tail: the crash interrupted this write
             };
-            let Some(key) = entry.get("key") else {
+            let key = entry.get("key");
+            let Some(key) = key.filter(|k| k.get("spec").and_then(Json::as_str).is_some()) else {
                 return Err(DsmError::bad_input(format!(
-                    "journal {}: entry without a key (an older scope/label journal \
-                     cannot be resumed; start a new one with --journal)",
+                    "journal {}: entry without a key of this format (a journal of an \
+                     older format cannot be resumed; start a new one with --journal)",
                     path.display()
                 )));
             };
@@ -230,6 +231,9 @@ mod tests {
     use dsm_core::SystemSpec;
     use dsm_trace::WorkloadKind;
 
+    // Every test that appends holds `test_lock`: an append in one test
+    // would otherwise consume the faults another test injects.
+
     fn tmp_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dsm-journal-{}-{name}", std::process::id()));
         let _ = std::fs::remove_file(&dir);
@@ -267,6 +271,7 @@ mod tests {
 
     #[test]
     fn journal_round_trips_completed_points() {
+        let _guard = dsm_core::fault::test_lock();
         let path = tmp_path("roundtrip");
         let j = SweepJournal::create(&path).expect("create");
         let r = sample_report("base");
@@ -292,6 +297,7 @@ mod tests {
 
     #[test]
     fn entries_from_another_scale_do_not_match() {
+        let _guard = dsm_core::fault::test_lock();
         let path = tmp_path("scale");
         let j = SweepJournal::create(&path).expect("create");
         j.record_ok(&point(SystemSpec::nc()), scale(), &sample_report("nc"), 0.1);
@@ -323,7 +329,31 @@ mod tests {
     }
 
     #[test]
+    fn entry_with_an_object_spec_key_is_bad_input() {
+        // The previous format keyed a point by a JSON object of its
+        // spec's fields; its entries cannot be matched by spec text.
+        let path = tmp_path("object-spec");
+        let spec = Json::obj().set("cache", Json::obj().set("bytes", 16384u64));
+        let line = Json::obj()
+            .set(
+                "key",
+                Json::obj()
+                    .set("spec", spec)
+                    .set("workload", "lu")
+                    .set("scale", 0.05),
+            )
+            .set("wall_s", 0.1)
+            .set("report", sample_report("base").to_json());
+        std::fs::write(&path, format!("{}\n", line.render())).unwrap();
+        let e = SweepJournal::resume(&path).expect_err("object keys must be refused");
+        assert_eq!(e.exit_code(), 3, "{e}");
+        assert!(e.to_string().contains("older format"), "{e}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn torn_tail_is_ignored_and_failures_are_retried() {
+        let _guard = dsm_core::fault::test_lock();
         let path = tmp_path("torn");
         let j = SweepJournal::create(&path).expect("create");
         j.record_ok(
@@ -345,7 +375,7 @@ mod tests {
         // Simulate a crash mid-write: a torn final line.
         {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            write!(f, "{{\"key\":{{\"spec\":{{\"cache\":{{\"bytes\":16").unwrap();
+            write!(f, "{{\"key\":{{\"spec\":\"nc\",\"work").unwrap();
         }
 
         let j = SweepJournal::resume(&path).expect("resume tolerates the torn tail");
@@ -409,6 +439,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn real_enospc_disables_without_retry_loops() {
+        let _guard = dsm_core::fault::test_lock();
         // /dev/full fails every write with ENOSPC — a non-transient
         // error that must go straight to the sticky disable.
         let Ok(file) = OpenOptions::new().append(true).open("/dev/full") else {

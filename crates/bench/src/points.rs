@@ -17,9 +17,7 @@
 
 use std::collections::hash_map::{Entry, HashMap};
 
-use dsm_core::config::NcIndexingSpec;
-use dsm_core::obs::Json;
-use dsm_core::{CounterSource, DirectorySpec, NcSpec, PcSize, SystemSpec, ThresholdPolicy};
+use dsm_core::SystemSpec;
 use dsm_trace::WorkloadKind;
 use dsm_types::DsmError;
 
@@ -39,98 +37,6 @@ impl PointKey {
             name: String::new(),
             ..spec.clone()
         })
-    }
-
-    /// Serializes every field of the spec but its name (the sweep
-    /// journal's on-disk key).
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        // Exhaustive destructuring, so a new spec field cannot silently
-        // escape the key.
-        let SystemSpec {
-            name: _,
-            cache,
-            nc,
-            pc,
-            dirty_shared,
-            migrep,
-            directory,
-        } = &self.0;
-        let sized = |kind: &str, bytes: u64, ways: usize| {
-            Json::obj()
-                .set("kind", kind)
-                .set("bytes", bytes)
-                .set("ways", ways)
-        };
-        let nc = match *nc {
-            NcSpec::None => Json::Null,
-            NcSpec::SramInclusion { bytes, ways } => sized("sram-inclusion", bytes, ways),
-            NcSpec::SramVictim {
-                bytes,
-                ways,
-                indexing,
-                capture_clean,
-            } => sized("sram-victim", bytes, ways)
-                .set(
-                    "indexing",
-                    match indexing {
-                        NcIndexingSpec::Block => "block",
-                        NcIndexingSpec::Page => "page",
-                    },
-                )
-                .set("capture_clean", capture_clean),
-            NcSpec::DramInclusion { bytes, ways } => sized("dram-inclusion", bytes, ways),
-            NcSpec::Infinite { dram } => Json::obj().set("kind", "infinite").set("dram", dram),
-        };
-        let pc = pc.map_or(Json::Null, |pc| {
-            Json::obj()
-                .set(
-                    "size",
-                    match pc.size {
-                        PcSize::Bytes(b) => Json::obj().set("bytes", b),
-                        PcSize::DataFraction(d) => Json::obj().set("data_fraction", d),
-                    },
-                )
-                .set(
-                    "counters",
-                    match pc.counters {
-                        CounterSource::Directory => "directory",
-                        CounterSource::VictimSets => "victim-sets",
-                    },
-                )
-                .set(
-                    "threshold",
-                    match pc.threshold {
-                        ThresholdPolicy::Fixed(t) => Json::obj().set("fixed", t),
-                        ThresholdPolicy::Adaptive { initial } => {
-                            Json::obj().set("adaptive", initial)
-                        }
-                    },
-                )
-                .set("decrement_on_invalidation", pc.decrement_on_invalidation)
-        });
-        let migrep = migrep.map_or(Json::Null, |m| {
-            Json::obj()
-                .set("threshold", m.threshold)
-                .set("migration", m.migration)
-                .set("replication", m.replication)
-        });
-        let directory = match *directory {
-            DirectorySpec::FullMap => Json::from("full-map"),
-            DirectorySpec::LimitedPointer { pointers } => Json::obj().set("pointers", pointers),
-        };
-        Json::obj()
-            .set(
-                "cache",
-                Json::obj()
-                    .set("bytes", cache.bytes)
-                    .set("ways", cache.ways),
-            )
-            .set("nc", nc)
-            .set("pc", pc)
-            .set("dirty_shared", *dirty_shared)
-            .set("migrep", migrep)
-            .set("directory", directory)
     }
 }
 
@@ -247,6 +153,8 @@ impl PointTable {
 mod tests {
     use super::*;
     use crate::figures::FIGURES;
+    use dsm_core::config::text;
+    use dsm_core::{CounterSource, MigRepSpec, NcSpec, PcSize, ThresholdPolicy};
 
     fn all_figures() -> PointTable {
         PointTable::new(FIGURES.iter().map(|f| (f.specs)()))
@@ -296,15 +204,105 @@ mod tests {
 
     #[test]
     fn key_json_names_every_field_but_the_name() {
+        // The sweep journal keys a point by its spec's text, which holds
+        // every field but the display name.
         let spec = SystemSpec::vxp(PcSize::DataFraction(5), 32).with_limited_directory(4);
-        let rendered = PointKey::of(&spec).to_json().render();
-        assert!(!rendered.contains("vxp"), "{rendered}");
-        for field in ["victim-sets", "\"adaptive\":32", "\"pointers\":4", "page"] {
-            assert!(rendered.contains(field), "{field} missing: {rendered}");
+        let rendered = text::render(&spec);
+        assert_eq!(rendered, "vxp:pointers=4");
+        let mut renamed = spec.clone();
+        renamed.name = "other".into();
+        assert_eq!(text::render(&renamed), rendered);
+        let parsed = text::parse(&rendered).expect("key parses");
+        assert_eq!(PointKey::of(&parsed), PointKey::of(&spec));
+    }
+
+    /// Every constructor, alone and with each builder that applies to it.
+    fn built_specs() -> Vec<SystemSpec> {
+        let mut origin_knobs = SystemSpec::origin();
+        origin_knobs.migrep = Some(MigRepSpec {
+            threshold: 64,
+            migration: false,
+            replication: true,
+        });
+        let mut origin_vb_knobs = SystemSpec::origin_vb();
+        origin_vb_knobs.migrep = Some(MigRepSpec {
+            threshold: 8,
+            migration: true,
+            replication: false,
+        });
+        let constructors = [
+            SystemSpec::base(),
+            SystemSpec::nc(),
+            SystemSpec::vb(),
+            SystemSpec::vb_sized(1024),
+            SystemSpec::vp(),
+            SystemSpec::ncd(),
+            SystemSpec::ncs(),
+            SystemSpec::infinite_dram(),
+            SystemSpec::ncp(PcSize::DataFraction(16)),
+            SystemSpec::ncp(PcSize::Bytes(512 * 1024)),
+            SystemSpec::vbp(PcSize::DataFraction(7)),
+            SystemSpec::vbp(PcSize::Bytes(512 * 1024)),
+            SystemSpec::vpp(PcSize::DataFraction(5)),
+            SystemSpec::vpp(PcSize::Bytes(8192)),
+            SystemSpec::vxp(PcSize::DataFraction(5), 64),
+            SystemSpec::vxp(PcSize::Bytes(8192), 4),
+            SystemSpec::origin(),
+            SystemSpec::origin_vb(),
+            origin_knobs,
+            origin_vb_knobs,
+        ];
+        let mut out = Vec::new();
+        for spec in constructors {
+            let victim = matches!(spec.nc, NcSpec::SramVictim { .. });
+            let counters = spec.pc.map(|pc| pc.counters);
+            let mut builds = vec![
+                spec.clone(),
+                spec.clone().with_cache(2048, 1),
+                spec.clone().with_dirty_shared(),
+            ];
+            if counters != Some(CounterSource::Directory) {
+                builds.push(spec.clone().with_limited_directory(2));
+            }
+            if victim {
+                builds.push(spec.clone().without_mesir_capture());
+            }
+            if counters == Some(CounterSource::VictimSets) {
+                builds.push(spec.clone().with_invalidation_decrement());
+            }
+            if counters.is_some() {
+                builds.push(spec.clone().with_threshold(ThresholdPolicy::Fixed(32)));
+            }
+            out.extend(builds);
         }
-        // Re-rendering the parsed key gives the same text: the journal
-        // matches keys by their rendering.
-        let parsed = Json::parse(&rendered).expect("key parses");
-        assert_eq!(parsed.render(), rendered);
+        out
+    }
+
+    #[test]
+    fn spec_texts_round_trip() {
+        let figures = all_figures();
+        assert_eq!(figures.specs().len(), 34);
+        let specs = figures.specs().iter().cloned().chain(built_specs());
+        let mut texts = std::collections::HashMap::new();
+        for spec in specs {
+            spec.validate()
+                .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+            let rendered = text::render(&spec);
+            let parsed = text::parse(&rendered).unwrap_or_else(|e| panic!("{rendered}: {e}"));
+            assert_eq!(PointKey::of(&parsed), PointKey::of(&spec), "{rendered}");
+            assert_eq!(text::render(&parsed), rendered);
+            // A bare family keeps its constructor's name; overrides name
+            // the spec by its text.
+            if rendered.contains(':') {
+                assert_eq!(parsed.name, rendered);
+            }
+            // Distinct points never share a text (the journal's key).
+            let key = PointKey::of(&spec);
+            assert_eq!(
+                texts.entry(rendered.clone()).or_insert(key.clone()),
+                &key,
+                "{rendered}"
+            );
+        }
     }
 }

@@ -29,10 +29,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use dsm_core::config::NcIndexingSpec;
+use dsm_core::config::text;
 use dsm_core::obs::span::Lane;
 use dsm_core::obs::Json;
-use dsm_core::{CounterSource, DirectorySpec, NcSpec, PcSize, Report, SystemSpec};
+use dsm_core::{Report, SystemSpec};
 use dsm_trace::{Scale, WorkloadKind};
 
 use crate::harness::TraceSet;
@@ -163,91 +163,16 @@ impl std::fmt::Display for PointFailure {
     }
 }
 
-/// Maps a [`SystemSpec`] back to the `simulate` system family name.
-fn system_family(spec: &SystemSpec) -> &'static str {
-    if spec.migrep.is_some() {
-        return if matches!(spec.nc, NcSpec::None) {
-            "origin"
-        } else {
-            "origin-vb"
-        };
-    }
-    if let Some(pc) = &spec.pc {
-        return match &spec.nc {
-            NcSpec::SramVictim {
-                indexing: NcIndexingSpec::Block,
-                ..
-            } => "vbp",
-            NcSpec::SramVictim {
-                indexing: NcIndexingSpec::Page,
-                ..
-            } => match pc.counters {
-                CounterSource::VictimSets => "vxp",
-                CounterSource::Directory => "vpp",
-            },
-            _ => "ncp",
-        };
-    }
-    match &spec.nc {
-        NcSpec::None => "base",
-        NcSpec::SramInclusion { .. } => "nc",
-        NcSpec::SramVictim {
-            indexing: NcIndexingSpec::Block,
-            ..
-        } => "vb",
-        NcSpec::SramVictim {
-            indexing: NcIndexingSpec::Page,
-            ..
-        } => "vp",
-        NcSpec::DramInclusion { .. } => "ncd",
-        NcSpec::Infinite { dram: false } => "ncs",
-        NcSpec::Infinite { dram: true } => "inf-dram",
-    }
-}
-
-/// Builds the one-line `simulate` invocation reproducing a sweep point:
-/// system family plus the spec knobs `simulate` exposes (cache shape,
-/// NC size, page-cache size, threshold, directory pointers, MOESI-R).
-/// Exotic ablations (e.g. disabled clean capture) may need manual flags
-/// beyond this line, but every configuration the figures sweep maps
-/// exactly.
+/// The one-line `simulate` invocation that reproduces a sweep point: the
+/// spec's text, which `simulate --system` parses back to the same spec.
 #[must_use]
 pub fn repro_command(spec: &SystemSpec, workload: WorkloadKind, scale: Scale) -> String {
-    use std::fmt::Write as _;
-    let mut cmd = format!(
-        "simulate --system {} --workload {} --scale {} --cache-bytes {} --cache-ways {}",
-        system_family(spec),
+    format!(
+        "simulate --system {} --workload {} --scale {}",
+        text::render(spec),
         workload.display_name().to_lowercase(),
         scale.factor(),
-        spec.cache.bytes,
-        spec.cache.ways,
-    );
-    match &spec.nc {
-        NcSpec::SramInclusion { bytes, .. }
-        | NcSpec::SramVictim { bytes, .. }
-        | NcSpec::DramInclusion { bytes, .. } => {
-            let _ = write!(cmd, " --nc-bytes {bytes}");
-        }
-        NcSpec::None | NcSpec::Infinite { .. } => {}
-    }
-    if let Some(pc) = &spec.pc {
-        match pc.size {
-            PcSize::Bytes(b) => {
-                let _ = write!(cmd, " --pc-bytes {b}");
-            }
-            PcSize::DataFraction(d) => {
-                let _ = write!(cmd, " --pc-fraction {d}");
-            }
-        }
-        let _ = write!(cmd, " --threshold {}", pc.threshold.initial());
-    }
-    if let DirectorySpec::LimitedPointer { pointers } = spec.directory {
-        let _ = write!(cmd, " --pointers {pointers}");
-    }
-    if spec.dirty_shared {
-        cmd.push_str(" --dirty-shared");
-    }
-    cmd
+    )
 }
 
 /// The result of one sweep point, in submission order.
@@ -502,6 +427,7 @@ pub fn run_sweep(ts: &mut TraceSet, points: &[SweepPoint], jobs: Jobs) -> Vec<Sw
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::points::PointKey;
     use dsm_core::PcSize;
     use dsm_trace::Scale;
 
@@ -564,52 +490,86 @@ mod tests {
         );
         assert_eq!(err.system, "ncp-too-small");
         assert_eq!(err.workload, "LU");
-        assert!(
-            err.repro.starts_with("simulate --system ncp --workload lu"),
-            "repro line should rebuild the invocation: {}",
-            err.repro
+        assert_eq!(
+            err.repro, "simulate --system ncp:pc=1/1000000 --workload lu --scale 0.05",
+            "repro line should rebuild the invocation"
         );
+    }
+
+    /// The `--system` and `--workload` values of a repro line.
+    fn repro_args(cmd: &str) -> (&str, &str) {
+        let arg = |flag: &str| {
+            let mut words = cmd.split(' ').skip_while(|w| *w != flag);
+            words.nth(1).unwrap_or_else(|| panic!("no {flag} in {cmd}"))
+        };
+        (arg("--system"), arg("--workload"))
     }
 
     #[test]
     fn repro_commands_cover_the_design_space() {
         let scale = Scale::new(0.5).unwrap();
         let cases = [
-            (SystemSpec::base(), "--system base "),
-            (SystemSpec::nc(), "--system nc "),
-            (SystemSpec::vb(), "--system vb "),
-            (SystemSpec::vp(), "--system vp "),
-            (SystemSpec::ncd(), "--system ncd "),
-            (SystemSpec::ncs(), "--system ncs "),
-            (SystemSpec::infinite_dram(), "--system inf-dram "),
-            (SystemSpec::ncp(PcSize::DataFraction(5)), "--system ncp "),
-            (SystemSpec::vbp(PcSize::DataFraction(5)), "--system vbp "),
-            (SystemSpec::vpp(PcSize::DataFraction(5)), "--system vpp "),
-            (SystemSpec::vxp(PcSize::Bytes(8192), 64), "--system vxp "),
-            (SystemSpec::origin(), "--system origin "),
-            (SystemSpec::origin_vb(), "--system origin-vb "),
+            (SystemSpec::base(), "base"),
+            (SystemSpec::nc(), "nc"),
+            (SystemSpec::vb(), "vb"),
+            (SystemSpec::vp(), "vp"),
+            (SystemSpec::ncd(), "ncd"),
+            (SystemSpec::ncs(), "ncs"),
+            (SystemSpec::infinite_dram(), "inf-dram"),
+            (SystemSpec::ncp(PcSize::DataFraction(5)), "ncp"),
+            (SystemSpec::vbp(PcSize::DataFraction(5)), "vbp"),
+            (SystemSpec::vpp(PcSize::DataFraction(5)), "vpp"),
+            (
+                SystemSpec::vxp(PcSize::Bytes(8192), 64),
+                "vxp:pc=8192:threshold=adaptive64",
+            ),
+            (SystemSpec::origin(), "origin"),
+            (SystemSpec::origin_vb(), "origin-vb"),
+            (SystemSpec::vb().with_limited_directory(2), "vb:pointers=2"),
+            (
+                SystemSpec::vb().without_mesir_capture(),
+                "vb:capture-clean=off",
+            ),
         ];
-        for (spec, family) in cases {
+        for (spec, system) in cases {
             let cmd = repro_command(&spec, WorkloadKind::Fft, scale);
-            assert!(cmd.contains(family), "{}: {cmd}", spec.name);
-            assert!(cmd.contains("--workload fft"), "{cmd}");
-            assert!(cmd.contains("--scale 0.5"), "{cmd}");
-            assert!(cmd.contains("--cache-bytes"), "{cmd}");
+            assert_eq!(
+                cmd,
+                format!("simulate --system {system} --workload fft --scale 0.5"),
+                "{}",
+                spec.name
+            );
+            // The line replays exactly the point it names.
+            let parsed = text::parse(repro_args(&cmd).0).unwrap();
+            assert_eq!(PointKey::of(&parsed), PointKey::of(&spec), "{cmd}");
         }
-        let vxp = repro_command(
-            &SystemSpec::vxp(PcSize::Bytes(8192), 64),
-            WorkloadKind::Lu,
-            scale,
+    }
+
+    #[test]
+    fn repro_line_of_a_fixed_threshold_point_keeps_its_policy() {
+        let fixed = crate::figures::fig6::specs_tight()
+            .into_iter()
+            .find(|s| s.name == "ncp16-fixed32")
+            .expect("Figure 6's tight fixed-threshold point");
+        let cmd = repro_command(&fixed, WorkloadKind::Radix, Scale::new(1.0).unwrap());
+        let parsed = text::parse(repro_args(&cmd).0).unwrap();
+        assert_eq!(
+            parsed.pc.unwrap().threshold,
+            dsm_core::ThresholdPolicy::Fixed(32),
+            "{cmd}"
         );
-        assert!(vxp.contains("--pc-bytes 8192"), "{vxp}");
-        assert!(vxp.contains("--threshold 64"), "{vxp}");
-        let lim = repro_command(
-            &SystemSpec::vb().with_limited_directory(2),
-            WorkloadKind::Lu,
-            scale,
-        );
-        assert!(lim.contains("--pointers 2"), "{lim}");
-        assert!(lim.contains("--nc-bytes 16384"), "{lim}");
+    }
+
+    #[test]
+    fn repro_workload_parses_back_to_its_kind() {
+        for kind in WorkloadKind::all() {
+            let cmd = repro_command(&SystemSpec::base(), kind, Scale::new(0.05).unwrap());
+            assert_eq!(
+                WorkloadKind::from_name(repro_args(&cmd).1),
+                Ok(kind),
+                "{cmd}"
+            );
+        }
     }
 
     #[test]

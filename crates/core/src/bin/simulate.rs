@@ -1,16 +1,15 @@
 //! Simulates a system configuration on a workload or a recorded trace.
 //!
 //! ```text
-//! simulate --system <name> --workload <benchmark> [--scale <f>] [--dev]
-//! simulate --system <name> --trace <file.dsmt> [--data-mb <n>] [--mmap]
+//! simulate --system <spec> --workload <benchmark> [--scale <f>] [--dev]
+//! simulate --system <spec> --trace <file.dsmt> [--data-mb <n>] [--mmap]
 //! ```
 //!
-//! Systems: `base`, `nc`, `vb`, `vp`, `ncd`, `ncs`, `inf-dram`; the
-//! page-cache systems `ncp`, `vbp`, `vpp`, `vxp` (which accept
-//! `--pc-fraction <d>` [default 5] or `--pc-bytes <n>`, and `vxp` accepts
-//! `--threshold <t>` [default 32]); and the Origin-style OS page
-//! migration/replication systems `origin` and `origin-vb` (the latter
-//! with a victim NC).
+//! `<spec>` is a system's text (`dsm_core::config::text`): a family such
+//! as `vxp`, then optional `:field=value` overrides, as in
+//! `ncp:pc=1/16:threshold=fixed32`. An unknown, inapplicable or
+//! inconsistent field exits 2. A failed sweep point's repro line names
+//! its spec this way.
 //!
 //! `--check <K>` audits the coherence invariants every `K` references
 //! (and after the last) on the same batched replay loop an unchecked run
@@ -26,42 +25,35 @@ use std::fs::File;
 use std::io::BufReader;
 use std::process::ExitCode;
 
+use dsm_core::config::text;
 use dsm_core::obs::StatsSink;
 use dsm_core::runner::{report_of, run_trace};
-use dsm_core::{NcSpec, PcSize, Report, System, SystemSpec};
+use dsm_core::{Report, System, SystemSpec};
 use dsm_trace::{open_shared_mapped, read_shared, CodecError, Scale, SharedTrace, WorkloadKind};
 use dsm_types::{ClusterId, DsmError, Geometry, Topology};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: simulate --system <name> --workload <benchmark> [--scale <f>] [--dev]\n\
-         \x20      simulate --system <name> --trace <file.dsmt> [--data-mb <n>] [--mmap]\n\
-         systems: base nc vb vp ncd ncs inf-dram ncp vbp vpp vxp origin origin-vb\n\
-         overrides: --cache-bytes <n> --cache-ways <n> --nc-bytes <n> --pointers <p> --dirty-shared\n\
-         page-cache options: --pc-fraction <d> | --pc-bytes <n>; vxp: --threshold <t>\n\
+        "usage: simulate --system <spec> --workload <benchmark> [--scale <f>] [--dev]\n\
+         \x20      simulate --system <spec> --trace <file.dsmt> [--data-mb <n>] [--mmap]\n\
+         spec: <family>[:<field>=<value>]..., e.g. ncp:pc=1/16:threshold=fixed32\n\
+         {}\n\
          checking: --check <K> (validate coherence invariants every K references)\n\
          observability: --stats [--top <k>] [--epoch <refs>]\n\
          chaos: env DSM_FAULT_PLAN=<seed|spec> arms deterministic fault injection; of the\n\
          \x20      three I/O sites only mmap-truncate (--trace --mmap) fires here, and it\n\
-         \x20      fails structurally with an error exit code, never a crash"
+         \x20      fails structurally with an error exit code, never a crash",
+        text::usage()
     );
     ExitCode::from(2)
 }
 
 struct Options {
-    system: String,
+    system: Option<SystemSpec>,
     workload: Option<WorkloadKind>,
     trace: Option<String>,
     scale: f64,
     dev: bool,
-    pc_fraction: Option<u32>,
-    pc_bytes: Option<u64>,
-    threshold: u32,
-    cache_bytes: Option<u64>,
-    cache_ways: Option<usize>,
-    nc_bytes: Option<u64>,
-    pointers: Option<usize>,
-    dirty_shared: bool,
     check: Option<usize>,
     data_mb: Option<u64>,
     mmap: bool,
@@ -72,19 +64,11 @@ struct Options {
 
 fn parse_args() -> Result<Options, String> {
     let mut o = Options {
-        system: String::new(),
+        system: None,
         workload: None,
         trace: None,
         scale: 1.0,
         dev: false,
-        pc_fraction: None,
-        pc_bytes: None,
-        threshold: 32,
-        cache_bytes: None,
-        cache_ways: None,
-        nc_bytes: None,
-        pointers: None,
-        dirty_shared: false,
         check: None,
         data_mb: None,
         mmap: false,
@@ -99,33 +83,11 @@ fn parse_args() -> Result<Options, String> {
             v.parse().map_err(|_| format!("bad value '{v}' for {flag}"))
         }
         match a.as_str() {
-            "--system" => o.system = val()?,
-            "--workload" => {
-                let name = val()?;
-                o.workload = WorkloadKind::all()
-                    .into_iter()
-                    .find(|k| k.display_name().eq_ignore_ascii_case(&name));
-                if o.workload.is_none() {
-                    return Err(format!("unknown benchmark '{name}'"));
-                }
-            }
+            "--system" => o.system = Some(text::parse(&val()?).map_err(|e| e.to_string())?),
+            "--workload" => o.workload = Some(WorkloadKind::from_name(&val()?)?),
             "--trace" => o.trace = Some(val()?),
             "--scale" => o.scale = num("--scale", &val()?)?,
             "--dev" => o.dev = true,
-            "--pc-fraction" => o.pc_fraction = Some(num("--pc-fraction", &val()?)?),
-            "--pc-bytes" => o.pc_bytes = Some(num("--pc-bytes", &val()?)?),
-            "--threshold" => o.threshold = num("--threshold", &val()?)?,
-            "--cache-bytes" => o.cache_bytes = Some(num("--cache-bytes", &val()?)?),
-            "--cache-ways" => o.cache_ways = Some(num("--cache-ways", &val()?)?),
-            "--nc-bytes" => o.nc_bytes = Some(num("--nc-bytes", &val()?)?),
-            "--pointers" => {
-                let p: usize = num("--pointers", &val()?)?;
-                if p == 0 {
-                    return Err("--pointers must be positive".to_owned());
-                }
-                o.pointers = Some(p);
-            }
-            "--dirty-shared" => o.dirty_shared = true,
             "--check" => o.check = Some(num("--check", &val()?)?),
             "--data-mb" => o.data_mb = Some(num("--data-mb", &val()?)?),
             "--mmap" => o.mmap = true,
@@ -141,7 +103,7 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown option '{other}'")),
         }
     }
-    if o.system.is_empty() {
+    if o.system.is_none() {
         return Err("--system is required".to_owned());
     }
     if o.workload.is_none() == o.trace.is_none() {
@@ -151,55 +113,6 @@ fn parse_args() -> Result<Options, String> {
         return Err("--mmap requires --trace (generated workloads are heap-resident)".to_owned());
     }
     Ok(o)
-}
-
-fn spec_of(o: &Options) -> Result<SystemSpec, String> {
-    let pc_size = match (o.pc_bytes, o.pc_fraction) {
-        (Some(b), _) => PcSize::Bytes(b),
-        (None, Some(d)) => PcSize::DataFraction(d),
-        (None, None) => PcSize::DataFraction(5),
-    };
-    let mut spec = match o.system.as_str() {
-        "base" => SystemSpec::base(),
-        "nc" => SystemSpec::nc(),
-        "vb" => SystemSpec::vb(),
-        "vp" => SystemSpec::vp(),
-        "ncd" => SystemSpec::ncd(),
-        "ncs" => SystemSpec::ncs(),
-        "inf-dram" => SystemSpec::infinite_dram(),
-        "ncp" => SystemSpec::ncp(pc_size),
-        "vbp" => SystemSpec::vbp(pc_size),
-        "vpp" => SystemSpec::vpp(pc_size),
-        "vxp" => SystemSpec::vxp(pc_size, o.threshold),
-        "origin" => SystemSpec::origin(),
-        "origin-vb" => SystemSpec::origin_vb(),
-        other => return Err(format!("unknown system '{other}'")),
-    };
-    if o.cache_bytes.is_some() || o.cache_ways.is_some() {
-        let bytes = o.cache_bytes.unwrap_or(spec.cache.bytes);
-        let ways = o.cache_ways.unwrap_or(spec.cache.ways);
-        spec = spec.with_cache(bytes, ways);
-    }
-    if let Some(bytes) = o.nc_bytes {
-        match &mut spec.nc {
-            NcSpec::SramInclusion { bytes: b, .. }
-            | NcSpec::SramVictim { bytes: b, .. }
-            | NcSpec::DramInclusion { bytes: b, .. } => *b = bytes,
-            NcSpec::None | NcSpec::Infinite { .. } => {
-                return Err(format!(
-                    "--nc-bytes does not apply to system '{}'",
-                    o.system
-                ))
-            }
-        }
-    }
-    if let Some(p) = o.pointers {
-        spec = spec.with_limited_directory(p);
-    }
-    if o.dirty_shared {
-        spec = spec.with_dirty_shared();
-    }
-    Ok(spec)
 }
 
 fn print_report(report: &Report) {
@@ -366,7 +279,8 @@ fn print_stats(system: &System<StatsSink>, top: usize) {
     }
 }
 
-fn run(o: &Options, spec: SystemSpec) -> Result<(), DsmError> {
+fn run(o: &Options) -> Result<(), DsmError> {
+    let spec = o.system.clone().expect("parse_args requires --system");
     let (trace, data_bytes, name) = if let Some(kind) = o.workload {
         let scale = Scale::new(o.scale).map_err(DsmError::from)?;
         let w = if o.dev {
@@ -447,14 +361,7 @@ fn main() -> ExitCode {
             return usage();
         }
     }
-    let spec = match spec_of(&o) {
-        Ok(s) => s,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return usage();
-        }
-    };
-    match run(&o, spec) {
+    match run(&o) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

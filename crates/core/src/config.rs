@@ -17,6 +17,9 @@
 //! Page-cache sizes follow the paper's notation: `ncp5` is
 //! `SystemSpec::ncp(PcSize::DataFraction(5))` (one fifth of the data set);
 //! the 512-KB points of Figures 9-10 are `PcSize::Bytes(512 * 1024)`.
+//! [`text`] spells any spec as one string and parses it back.
+
+pub mod text;
 
 use crate::model::NcTechnology;
 use crate::nc::NcIndexing;
@@ -534,7 +537,8 @@ impl SystemSpec {
     /// # Errors
     ///
     /// Returns [`ConfigError`] if victim-set counters are configured
-    /// without a victim NC, or cache/NC shapes are degenerate.
+    /// without a victim NC, a limited directory has no pointers or more
+    /// than its entries hold, or cache/NC shapes are degenerate.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cache.bytes == 0 || self.cache.ways == 0 {
             return Err(ConfigError::new("degenerate processor cache"));
@@ -559,8 +563,17 @@ impl SystemSpec {
         if let Some(pc) = &self.pc {
             if pc.counters == CounterSource::Directory && self.directory != DirectorySpec::FullMap {
                 return Err(ConfigError::new(
-                    "R-NUMA's directory relocation counters require a full-map directory                      (the paper's scalability critique); use vxp's victim-set counters",
+                    "R-NUMA's directory relocation counters require a full-map directory \
+                     (the paper's scalability critique); use vxp's victim-set counters",
                 ));
+            }
+        }
+        if let DirectorySpec::LimitedPointer { pointers } = self.directory {
+            // The packed entries of `dsm_directory`'s Dir-i-B directory.
+            if !(1..=8).contains(&pointers) {
+                return Err(ConfigError::new(format!(
+                    "a Dir-i-B directory entry holds 1 to 8 sharer pointers, not {pointers}"
+                )));
             }
         }
         if let Some(mr) = &self.migrep {
@@ -657,6 +670,29 @@ mod tests {
         assert_eq!(s.cache.ways, 4);
         let s = SystemSpec::ncp(PcSize::DataFraction(5)).with_threshold(ThresholdPolicy::Fixed(32));
         assert_eq!(s.pc.unwrap().threshold, ThresholdPolicy::Fixed(32));
+    }
+
+    #[test]
+    fn full_map_requirement_is_one_sentence() {
+        let spec = SystemSpec::ncp(PcSize::DataFraction(5)).with_limited_directory(4);
+        assert_eq!(
+            spec.validate().unwrap_err().to_string(),
+            "R-NUMA's directory relocation counters require a full-map directory (the \
+             paper's scalability critique); use vxp's victim-set counters"
+        );
+    }
+
+    #[test]
+    fn limited_directories_hold_one_to_eight_pointers() {
+        assert!(SystemSpec::vb()
+            .with_limited_directory(8)
+            .validate()
+            .is_ok());
+        let e = SystemSpec::vb().with_limited_directory(9).validate();
+        assert!(e
+            .unwrap_err()
+            .to_string()
+            .contains("1 to 8 sharer pointers, not 9"));
     }
 
     #[test]

@@ -27,19 +27,12 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn parse_kind(name: &str) -> Option<WorkloadKind> {
-    WorkloadKind::all()
-        .into_iter()
-        .find(|k| k.display_name().eq_ignore_ascii_case(name))
-}
-
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let Some(name) = args.next() else {
         return usage();
     };
-    let Some(kind) = parse_kind(&name) else {
-        eprintln!("unknown benchmark '{name}'");
+    let Ok(kind) = WorkloadKind::from_name(&name).inspect_err(|msg| eprintln!("{msg}")) else {
         return usage();
     };
 

@@ -72,6 +72,19 @@ impl WorkloadKind {
         ]
     }
 
+    /// The benchmark named `name`, in any letter case (`lu`, `LU`).
+    ///
+    /// # Errors
+    ///
+    /// An "unknown workload" message.
+    pub fn from_name(name: &str) -> Result<WorkloadKind, String> {
+        let all = WorkloadKind::all().into_iter();
+        let mut found = all.filter(|k| k.display_name().eq_ignore_ascii_case(name.trim()));
+        found
+            .next()
+            .ok_or_else(|| format!("unknown workload '{name}'"))
+    }
+
     /// Instantiates the benchmark with the paper's parameters (Table 3).
     #[must_use]
     pub fn paper_instance(self) -> Box<dyn Workload> {
@@ -144,6 +157,17 @@ mod tests {
     fn display_names_match_paper() {
         assert_eq!(WorkloadKind::Fft.to_string(), "FFT");
         assert_eq!(WorkloadKind::Barnes.to_string(), "Barnes");
+    }
+
+    #[test]
+    fn names_parse_in_any_case() {
+        for kind in WorkloadKind::all() {
+            let lower = kind.display_name().to_lowercase();
+            assert_eq!(WorkloadKind::from_name(&lower), Ok(kind));
+            assert_eq!(WorkloadKind::from_name(kind.display_name()), Ok(kind));
+        }
+        let e = WorkloadKind::from_name("lu2").unwrap_err();
+        assert!(e.starts_with("unknown workload 'lu2'"), "{e}");
     }
 
     #[test]

@@ -11,7 +11,15 @@
 //! Like `properties.rs`, the streams are driven by the workspace's own
 //! deterministic [`TraceRng`], so every failure is reproducible from the
 //! printed configuration name and seed.
+//!
+//! Besides a fixed matrix of protocol families, the audit covers every
+//! distinct spec the figures plot (their point table), so a new figure
+//! spec is audited with no list to edit. The file is compiled as a
+//! `dsm-bench` test for that reason.
 
+use dsm_bench::figures::FIGURES;
+use dsm_bench::{PointKey, PointTable};
+use dsm_core::config::text;
 use dsm_core::{PcSize, System, SystemSpec};
 use dsm_trace::rng::TraceRng;
 use dsm_trace::SharedTrace;
@@ -85,6 +93,39 @@ fn fuzz_matrix_holds_invariants_at_k1() {
     }
 }
 
+/// Audits every distinct spec the figures plot at `K = 1` on `trace`,
+/// with `resize` applied to each. `origin+vb` is left to
+/// [`origin_vb_migration_breaks_victim_nc_exclusion`].
+fn audit_plotted_specs(trace: &SharedTrace, resize: impl Fn(SystemSpec) -> SystemSpec) {
+    let data_bytes = 16 * Geometry::paper_default().page_bytes();
+    let table = PointTable::new(FIGURES.iter().map(|f| (f.specs)()));
+    let pinned = PointKey::of(&SystemSpec::origin_vb());
+    let mut audited = 0;
+    for spec in table.specs().iter().filter(|s| PointKey::of(s) != pinned) {
+        let spec = resize(spec.clone());
+        let name = text::render(&spec);
+        let mut sys = System::new(spec, topo(), Geometry::paper_default(), data_bytes)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        sys.run_shared_checked(trace, 1)
+            .unwrap_or_else(|e| panic!("config {name}: {e}"));
+        audited += 1;
+    }
+    assert_eq!(audited, table.simulated() - 1, "only origin+vb is left out");
+}
+
+#[test]
+fn plotted_specs_hold_invariants_at_k1_with_shrunk_caches() {
+    audit_plotted_specs(&random_trace(1, 4000), |spec| {
+        let ways = spec.cache.ways;
+        spec.with_cache(2048, ways)
+    });
+}
+
+#[test]
+fn plotted_specs_hold_invariants_at_k1_with_paper_caches() {
+    audit_plotted_specs(&random_trace(1, 1000), |spec| spec);
+}
+
 /// Known defect, kept visible rather than fixed here: OS page migration
 /// leaves the copies a cluster holds of a page it takes over in their
 /// remote-data states — victim-NC entries, and `R` cache copies that a
@@ -93,7 +134,8 @@ fn fuzz_matrix_holds_invariants_at_k1() {
 /// audit finds it on the live-home replay path within 800 references.
 /// Fixing it moves `origin+vb`'s results, so the fix has to come with
 /// regenerated goldens and benchmark references; it then deletes this
-/// test and adds `SystemSpec::origin_vb()` to [`config_matrix`].
+/// test, adds `SystemSpec::origin_vb()` to [`config_matrix`] and stops
+/// [`audit_plotted_specs`] from leaving it out.
 #[test]
 #[should_panic(expected = "an M/E copy coexists with a victim-NC entry")]
 fn origin_vb_migration_breaks_victim_nc_exclusion() {
