@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! profile [--workload <name>] [--systems <csv>] [--batch <refs>]
-//!         [--out <file>] [--chrome-trace <file>] [--scale <f>] [--jobs <n>]
+//!         [--out <file>] [--chrome-trace <file>] [--scale <f>] [--mmap]
 //! ```
 //!
 //! Defaults replay Radix on `base`, `vb16` and `vpp5` — the throughput
@@ -24,25 +24,29 @@
 //! and closes one `replay batch` span per stop, so the span trace
 //! written by `--chrome-trace` shows per-batch progress under each
 //! configuration's replay span; `--out <file>` writes the full profile
-//! as `dsm-profile/v1` JSON. `--jobs` is accepted (it is a common flag)
-//! but ignored: profiling replays serially so per-batch spans and
-//! counters stay attributable.
+//! as `dsm-profile/v1` JSON. The trace is generated through
+//! `dsm_bench::TraceSet`, as every sweep's is, so `--mmap` replays it
+//! from a kernel mapping; `--jobs` is accepted (it is a common flag) but
+//! ignored: profiling replays serially so per-batch spans and counters
+//! stay attributable.
 
 use std::convert::Infallible;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
-use dsm_bench::harness::{parse_argv, report_failure, usage_exit, RunArgs};
+use dsm_bench::harness::{report_failure, usage_exit, RunArgs};
+use dsm_bench::{parse_run_args, TraceSet};
 use dsm_core::config::text;
 use dsm_core::obs::span::SpanTracer;
 use dsm_core::obs::{write_json_atomic, Json};
 use dsm_core::runner::report_of;
 use dsm_core::{PhaseProfiler, System, SystemSpec};
-use dsm_trace::{SharedTrace, WorkloadKind};
-use dsm_types::{DsmError, Geometry, Topology};
+use dsm_trace::WorkloadKind;
+use dsm_types::DsmError;
 
-const USAGE: &str = "profile [--workload <name>] [--systems <csv>] [--batch <refs>] [--out <file>] [--chrome-trace <file>] [--scale <f>] [--jobs <n>]";
+const USAGE: &str = "profile [--workload <name>] [--systems <csv>] [--batch <refs>] [--out <file>] [--chrome-trace <file>] [--scale <f>] [--mmap]";
 
 struct Flags {
     run: RunArgs,
@@ -59,8 +63,7 @@ fn parse_flags() -> Flags {
     let mut batch = 65536usize;
     let mut out = None;
     let mut chrome_trace = None;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let run = parse_argv(&argv, |args, i| match args[i].as_str() {
+    let run = parse_run_args(USAGE, |args, i| match args[i].as_str() {
         "--workload" => {
             let v = args
                 .get(i + 1)
@@ -100,8 +103,7 @@ fn parse_flags() -> Flags {
             Ok(2)
         }
         _ => Ok(0),
-    })
-    .unwrap_or_else(|msg| usage_exit(USAGE, &msg));
+    });
     let specs = systems
         .split(',')
         .filter(|s| !s.trim().is_empty())
@@ -119,25 +121,20 @@ fn parse_flags() -> Flags {
 }
 
 fn run(flags: &Flags) -> Result<(), DsmError> {
-    let topo = Topology::paper_default();
-    let geo = Geometry::paper_default();
     let kind = flags.workload;
     let wl = kind.display_name().to_lowercase();
-    let tracer = SpanTracer::new();
+    let tracer = Arc::new(SpanTracer::new());
     let lane = tracer.lane("main");
 
     eprintln!(
         "profile: generating {wl} trace at scale {} ...",
         flags.run.scale.factor()
     );
-    let w = kind.paper_instance();
-    let data_bytes = w.shared_bytes();
-    let trace = {
-        let mut span = tracer.span(lane, format!("trace load: {kind}"));
-        let refs = w.generate(&topo, flags.run.scale);
-        span.arg("refs", refs.len() as u64);
-        SharedTrace::from_refs(topo, geo, &refs)
-    };
+    let mut ts = TraceSet::from_args(&flags.run);
+    ts.set_tracer(Some(Arc::clone(&tracer)));
+    let data_bytes = kind.paper_instance().shared_bytes();
+    let trace = ts.prepare(kind);
+    let (topo, geo) = (*trace.topology(), *trace.geometry());
 
     let mut runs: Vec<Json> = Vec::new();
     for spec in &flags.specs {
@@ -148,7 +145,7 @@ fn run(flags: &Flags) -> Result<(), DsmError> {
         let t0 = Instant::now();
         let mut done = 0usize;
         let mut bspan = (!trace.is_empty()).then(|| tracer.span(lane, "replay batch"));
-        let Ok(()) = system.run_shared_windowed(&trace, flags.batch, |_, now| {
+        let Ok(()) = system.run_shared_windowed(trace, flags.batch, |_, now| {
             if let Some(mut span) = bspan.take() {
                 span.arg("refs", (now - done) as u64);
             }

@@ -42,6 +42,10 @@
 //! computed remainder — producing the same bytes an uninterrupted run
 //! would have. `--figures` / `--workloads` restrict the run to a
 //! comma-separated subset (figure keys: fig3..fig11, fig6-tight, origin).
+//! Tables 1-3 always print first, so `--figures ''` prints only them and
+//! simulates nothing, and `--figures fig9` prints them and Figure 9
+//! (Figure 6's supplementary 1/16 page cache is its own key,
+//! `fig6-tight`).
 //!
 //! The table executes through the parallel sweep engine
 //! (`dsm_bench::sweep`) on `--jobs <n>` workers (default: all hardware
@@ -73,8 +77,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dsm_bench::figures::{all_workloads, tables, Figure, FIGURES};
-use dsm_bench::harness::{parse_argv, usage_exit, RunArgs};
-use dsm_bench::{PointTable, SweepJournal, SweepPoint, TraceSet};
+use dsm_bench::harness::{usage_exit, RunArgs};
+use dsm_bench::{parse_run_args, PointTable, SweepJournal, SweepPoint, TraceSet};
 use dsm_core::obs::span::SpanTracer;
 use dsm_core::obs::{write_json_atomic, Json, JsonlSink, StatsSink};
 use dsm_core::{PcSize, PhaseCounters, SystemSpec, Tee};
@@ -117,8 +121,7 @@ fn parse_flags() -> Flags {
     let mut progress = false;
     let mut phase_stats = false;
     let mut chrome_trace = None;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let run = parse_argv(&argv, |args, i| match args[i].as_str() {
+    let run = parse_run_args(USAGE, |args, i| match args[i].as_str() {
         "--markdown" => {
             markdown = true;
             Ok(1)
@@ -194,13 +197,9 @@ fn parse_flags() -> Flags {
             Ok(2)
         }
         _ => Ok(0),
-    })
-    .unwrap_or_else(|msg| usage_exit(USAGE, &msg));
+    });
     if journal.is_some() && resume.is_some() {
         usage_exit(USAGE, "--journal and --resume are mutually exclusive");
-    }
-    if let Err(e) = dsm_bench::harness::install_fault_plan(&run) {
-        usage_exit(USAGE, e.message());
     }
     Flags {
         run,
@@ -251,7 +250,7 @@ fn run_instrumented(flags: &Flags) -> Result<(), DsmError> {
     let kinds = flags.workloads.clone().unwrap_or_else(all_workloads);
     let mut index: Vec<Json> = Vec::new();
     for &kind in &kinds {
-        let mut ts = TraceSet::new(scale);
+        let mut ts = TraceSet::from_args(&flags.run);
         let wl = kind.display_name().to_lowercase();
         for spec in &specs {
             eprintln!("reproduce: instrumented {wl}/{} ...", spec.name);
@@ -320,7 +319,7 @@ fn run_figures(flags: &Flags) -> Result<(), DsmError> {
     );
     if let Some(wanted) = &flags.figures {
         for w in wanted {
-            if !FIGURES.iter().any(|f| f.key == w) {
+            if Figure::by_key(w).is_none() {
                 return Err(DsmError::usage(format!(
                     "unknown figure '{w}' (known: {})",
                     FIGURES.map(|f| f.key).join(", ")

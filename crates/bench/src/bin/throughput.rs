@@ -40,9 +40,9 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use dsm_bench::harness::{parse_argv, usage_exit};
+use dsm_bench::harness::usage_exit;
 use dsm_bench::tinybench::{consume, Tiny};
-use dsm_bench::TraceSet;
+use dsm_bench::{parse_run_args, TraceSet};
 use dsm_core::obs::{write_json_atomic, Json};
 use dsm_core::{PcSize, SystemSpec};
 use dsm_trace::WorkloadKind;
@@ -60,8 +60,7 @@ fn main() -> ExitCode {
     let mut baseline: HashMap<String, f64> = HashMap::new();
     let mut baseline_commit: Option<String> = None;
     let mut best_of = 1usize;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let run = parse_argv(&argv, |args, i| match args[i].as_str() {
+    let run = parse_run_args(USAGE, |args, i| match args[i].as_str() {
         "--out" => {
             let v = args
                 .get(i + 1)
@@ -102,8 +101,7 @@ fn main() -> ExitCode {
             Ok(2)
         }
         _ => Ok(0),
-    })
-    .unwrap_or_else(|msg| usage_exit(USAGE, &msg));
+    });
 
     let scale = run.scale;
     // The paper's three interesting design points: no NC, SRAM victim

@@ -3,11 +3,9 @@
 //! the same systems as Figure 9.
 
 use dsm_core::{Report, SystemSpec};
-use dsm_trace::WorkloadKind;
-use dsm_types::DsmError;
 
 use crate::figures::fig9::{self, StallMetric};
-use crate::harness::{normalized_table, run_grid, FigureTable, GridRow, TraceSet};
+use crate::harness::{normalized_table, FigureTable, GridRow};
 
 /// Figure 9's systems: Figure 10 plots another metric of the same grid.
 #[must_use]
@@ -26,20 +24,14 @@ pub fn table(grid: &[GridRow]) -> FigureTable {
     )
 }
 
-/// Runs Figure 10 over `kinds`.
-pub fn run(ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
-    Ok(table(&run_grid(ts, &specs(), kinds)?))
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use dsm_trace::Scale;
+    use crate::figures::run_alone;
+    use dsm_trace::WorkloadKind;
 
     #[test]
     fn victim_cache_cuts_radix_traffic() {
-        let mut ts = TraceSet::new(Scale::new(0.1).unwrap());
-        let t = run(&mut ts, &[WorkloadKind::Radix]).expect("figure run");
+        let t = run_alone("fig10", &[WorkloadKind::Radix]);
         let v = &t.rows[0].1;
         // Columns: base NCS NCD ncp vbp vpp ncp5 vbp5 vpp5.
         // "the victim cache is effective in reducing the traffic,

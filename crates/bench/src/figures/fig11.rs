@@ -4,11 +4,9 @@
 //! victimization counters. Normalized to an infinite DRAM NC.
 
 use dsm_core::{PcSize, Report, SystemSpec};
-use dsm_trace::WorkloadKind;
-use dsm_types::DsmError;
 
 use crate::figures::fig9::StallMetric;
-use crate::harness::{names, normalized_table, run_grid, FigureTable, GridRow, TraceSet};
+use crate::harness::{names, normalized_table, FigureTable, GridRow};
 
 /// The systems of Figure 11, baseline first.
 #[must_use]
@@ -32,20 +30,14 @@ pub fn table(grid: &[GridRow]) -> FigureTable {
     )
 }
 
-/// Runs Figure 11 over `kinds`.
-pub fn run(ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
-    Ok(table(&run_grid(ts, &specs(), kinds)?))
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use dsm_trace::Scale;
+    use crate::figures::run_alone;
+    use dsm_trace::WorkloadKind;
 
     #[test]
     fn vxp_is_competitive_with_directory_counters() {
-        let mut ts = TraceSet::new(Scale::new(0.1).unwrap());
-        let t = run(&mut ts, &[WorkloadKind::Fmm]).expect("figure run");
+        let t = run_alone("fig11", &[WorkloadKind::Fmm]);
         let v = &t.rows[0].1;
         // "vxp performs as well as ncp": within 40% on the irregular apps
         // where the victim cache matters (generous bound for a scaled

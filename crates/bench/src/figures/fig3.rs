@@ -3,10 +3,8 @@
 //! victim-NC size (none, 1 KB, 16 KB).
 
 use dsm_core::SystemSpec;
-use dsm_trace::WorkloadKind;
-use dsm_types::DsmError;
 
-use crate::harness::{miss_ratio_table, names, run_grid, FigureTable, GridRow, TraceSet};
+use crate::harness::{miss_ratio_table, names, FigureTable, GridRow};
 
 /// The nine configurations of Figure 3, in the paper's bar order.
 #[must_use]
@@ -38,15 +36,11 @@ pub fn table(grid: &[GridRow]) -> FigureTable {
     )
 }
 
-/// Runs Figure 3 over `kinds`.
-pub fn run(ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
-    Ok(table(&run_grid(ts, &specs(), kinds)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsm_trace::Scale;
+    use crate::figures::run_alone;
+    use dsm_trace::WorkloadKind;
 
     #[test]
     fn nine_configs_with_paper_names() {
@@ -59,8 +53,7 @@ mod tests {
 
     #[test]
     fn victim_nc_only_improves_miss_ratio() {
-        let mut ts = TraceSet::new(Scale::new(0.1).unwrap());
-        let t = run(&mut ts, &[WorkloadKind::Lu]).expect("figure run");
+        let t = run_alone("fig3", &[WorkloadKind::Lu]);
         assert_eq!(t.rows.len(), 1);
         let v = &t.rows[0].1;
         // Within each associativity, a bigger victim NC never hurts.

@@ -2,10 +2,8 @@
 //! NC — inclusion for dirty blocks (`nc`) versus a victim cache (`vb`).
 
 use dsm_core::SystemSpec;
-use dsm_trace::WorkloadKind;
-use dsm_types::DsmError;
 
-use crate::harness::{miss_ratio_table, run_grid, FigureTable, GridRow, TraceSet};
+use crate::harness::{miss_ratio_table, FigureTable, GridRow};
 
 /// The two 16-KB NCs of Figure 4: inclusion, then victim.
 #[must_use]
@@ -24,20 +22,14 @@ pub fn table(grid: &[GridRow]) -> FigureTable {
     )
 }
 
-/// Runs Figure 4 over `kinds`.
-pub fn run(ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
-    Ok(table(&run_grid(ts, &specs(), kinds)?))
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use dsm_trace::Scale;
+    use crate::figures::run_alone;
+    use dsm_trace::WorkloadKind;
 
     #[test]
     fn victim_beats_or_matches_inclusion() {
-        let mut ts = TraceSet::new(Scale::new(0.1).unwrap());
-        let t = run(&mut ts, &[WorkloadKind::Radix, WorkloadKind::Lu]).expect("figure run");
+        let t = run_alone("fig4", &[WorkloadKind::Radix, WorkloadKind::Lu]);
         for (name, v) in &t.rows {
             assert!(
                 v[1] <= v[0] + 0.05,

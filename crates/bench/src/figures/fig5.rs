@@ -2,10 +2,8 @@
 //! schemes — block-address (`vb`) versus page-address (`vp`) bits.
 
 use dsm_core::SystemSpec;
-use dsm_trace::WorkloadKind;
-use dsm_types::DsmError;
 
-use crate::harness::{miss_ratio_table, run_grid, FigureTable, GridRow, TraceSet};
+use crate::harness::{miss_ratio_table, FigureTable, GridRow};
 
 /// The two victim-NC indexings of Figure 5: block, then page.
 #[must_use]
@@ -24,15 +22,13 @@ pub fn table(grid: &[GridRow]) -> FigureTable {
     )
 }
 
-/// Runs Figure 5 over `kinds`.
-pub fn run(ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
-    Ok(table(&run_grid(ts, &specs(), kinds)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsm_trace::Scale;
+    use crate::figures::run_alone;
+    use crate::harness::TraceSet;
+    use crate::points::PointTable;
+    use dsm_trace::{Scale, WorkloadKind};
 
     #[test]
     fn page_indexing_never_catastrophic() {
@@ -40,15 +36,13 @@ mod tests {
         // never lead to results worse than when no NC is present".
         let mut ts = TraceSet::new(Scale::new(0.1).unwrap());
         let base = {
-            let grid = crate::harness::run_grid(
-                &mut ts,
-                &[dsm_core::SystemSpec::base()],
-                &[WorkloadKind::Ocean],
-            )
-            .expect("base grid");
+            let specs = [SystemSpec::base()];
+            let table = PointTable::new([specs.to_vec()]);
+            let results = table.run(&mut ts, &[WorkloadKind::Ocean]);
+            let grid = table.project(&results, &specs).expect("base grid");
             (grid[0].1[0].read_miss_ratio + grid[0].1[0].write_miss_ratio) * 100.0
         };
-        let t = run(&mut ts, &[WorkloadKind::Ocean]).expect("figure run");
+        let t = run_alone("fig5", &[WorkloadKind::Ocean]);
         let vp = t.rows[0].1[1];
         assert!(vp <= base + 1e-9, "vp ({vp}) worse than no NC ({base})");
     }

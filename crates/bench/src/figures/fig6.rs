@@ -3,10 +3,8 @@
 //! suppress page-cache thrashing (Barnes and Radix in the paper).
 
 use dsm_core::{PcSize, SystemSpec, ThresholdPolicy};
-use dsm_trace::WorkloadKind;
-use dsm_types::DsmError;
 
-use crate::harness::{miss_ratio_table, run_grid, FigureTable, GridRow, TraceSet};
+use crate::harness::{miss_ratio_table, FigureTable, GridRow};
 
 /// The page cache of Figure 6: 1/5 of the data set.
 const DENOM: u32 = 5;
@@ -28,11 +26,6 @@ pub fn table(grid: &[GridRow]) -> FigureTable {
     table_at(grid, DENOM)
 }
 
-/// Runs Figure 6 over `kinds`.
-pub fn run(ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
-    Ok(table(&run_grid(ts, &specs(), kinds)?))
-}
-
 /// [`specs`] with the tight (1/16) page cache.
 #[must_use]
 pub fn specs_tight() -> Vec<SystemSpec> {
@@ -43,11 +36,6 @@ pub fn specs_tight() -> Vec<SystemSpec> {
 #[must_use]
 pub fn table_tight(grid: &[GridRow]) -> FigureTable {
     table_at(grid, TIGHT_DENOM)
-}
-
-/// Runs the tight-page-cache comparison over `kinds`.
-pub fn run_tight(ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
-    Ok(table_tight(&run_grid(ts, &specs_tight(), kinds)?))
 }
 
 fn specs_at(denom: u32) -> Vec<SystemSpec> {
@@ -72,13 +60,12 @@ fn table_at(grid: &[GridRow], denom: u32) -> FigureTable {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use dsm_trace::Scale;
+    use crate::figures::run_alone;
+    use dsm_trace::WorkloadKind;
 
     #[test]
     fn adaptive_does_not_lose_badly() {
-        let mut ts = TraceSet::new(Scale::new(0.1).unwrap());
-        let t = run(&mut ts, &[WorkloadKind::Radix]).expect("figure run");
+        let t = run_alone("fig6", &[WorkloadKind::Radix]);
         let v = &t.rows[0].1;
         // Adaptive must be no worse than fixed beyond noise: its whole
         // point is to cut relocation overhead under thrashing.

@@ -4,10 +4,8 @@
 //! (`vbp`).
 
 use dsm_core::{PcSize, SystemSpec};
-use dsm_trace::WorkloadKind;
-use dsm_types::DsmError;
 
-use crate::harness::{miss_ratio_table, names, run_grid, FigureTable, GridRow, TraceSet};
+use crate::harness::{miss_ratio_table, names, FigureTable, GridRow};
 
 /// `base` with `ncp`'s page cache of `1/d` of the data set.
 fn pc_only(d: u32) -> SystemSpec {
@@ -52,15 +50,11 @@ pub fn table(grid: &[GridRow]) -> FigureTable {
     )
 }
 
-/// Runs Figure 7 over `kinds`.
-pub fn run(ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
-    Ok(table(&run_grid(ts, &specs(), kinds)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsm_trace::Scale;
+    use crate::figures::run_alone;
+    use dsm_trace::WorkloadKind;
 
     #[test]
     fn twelve_configs() {
@@ -73,8 +67,7 @@ mod tests {
 
     #[test]
     fn nc_improves_over_no_nc_with_page_cache() {
-        let mut ts = TraceSet::new(Scale::new(0.1).unwrap());
-        let t = run(&mut ts, &[WorkloadKind::Fmm]).expect("figure run");
+        let t = run_alone("fig7", &[WorkloadKind::Fmm]);
         let v = &t.rows[0].1;
         // The paper: "The 16KB NC clearly improves performance in both
         // ncp and vbp over the system without NC" (columns 3 = pc5,

@@ -3,10 +3,8 @@
 //! misses page indexing creates, making `vpp` feasible.
 
 use dsm_core::{PcSize, SystemSpec};
-use dsm_trace::WorkloadKind;
-use dsm_types::DsmError;
 
-use crate::harness::{miss_ratio_table, run_grid, FigureTable, GridRow, TraceSet};
+use crate::harness::{miss_ratio_table, FigureTable, GridRow};
 
 /// The two indexings of Figure 8 under a 1/5 page cache: `vbp5`, `vpp5`.
 #[must_use]
@@ -29,20 +27,14 @@ pub fn table(grid: &[GridRow]) -> FigureTable {
     )
 }
 
-/// Runs Figure 8 over `kinds`.
-pub fn run(ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
-    Ok(table(&run_grid(ts, &specs(), kinds)?))
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use dsm_trace::Scale;
+    use crate::figures::run_alone;
+    use dsm_trace::WorkloadKind;
 
     #[test]
     fn indexing_gap_is_small_with_page_cache() {
-        let mut ts = TraceSet::new(Scale::new(0.1).unwrap());
-        let t = run(&mut ts, &[WorkloadKind::Ocean]).expect("figure run");
+        let t = run_alone("fig8", &[WorkloadKind::Ocean]);
         let v = &t.rows[0].1;
         // "Overall, there is little difference between the two indexing
         // methods" once the page cache is present.

@@ -4,10 +4,8 @@
 //! the data set.
 
 use dsm_core::{PcSize, Report, SystemSpec};
-use dsm_trace::WorkloadKind;
-use dsm_types::DsmError;
 
-use crate::harness::{names, normalized_table, run_grid, FigureTable, GridRow, TraceSet};
+use crate::harness::{names, normalized_table, FigureTable, GridRow};
 
 /// The systems of Figure 9, baseline (infinite DRAM NC) first.
 #[must_use]
@@ -43,11 +41,6 @@ pub fn table(grid: &[GridRow]) -> FigureTable {
     )
 }
 
-/// Runs Figure 9 over `kinds`.
-pub fn run(ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
-    Ok(table(&run_grid(ts, &specs(), kinds)?))
-}
-
 /// Extraction helper shared with Figures 10-11.
 pub trait StallMetric {
     /// The remote read stall in cycles.
@@ -68,7 +61,8 @@ impl StallMetric for Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsm_trace::Scale;
+    use crate::figures::run_alone;
+    use dsm_trace::WorkloadKind;
 
     #[test]
     fn ten_systems_baseline_first() {
@@ -80,8 +74,7 @@ mod tests {
 
     #[test]
     fn ideal_sram_nc_is_best_or_near() {
-        let mut ts = TraceSet::new(Scale::new(0.1).unwrap());
-        let t = run(&mut ts, &[WorkloadKind::Lu]).expect("figure run");
+        let t = run_alone("fig9", &[WorkloadKind::Lu]);
         let v = &t.rows[0].1;
         // NCS (index 1) should beat base (index 0) and be <= 1 vs the
         // infinite DRAM baseline (it saturates capacity at SRAM speed).

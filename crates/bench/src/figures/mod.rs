@@ -3,13 +3,15 @@
 //! Every figure module exposes `specs()`, the systems it plots in column
 //! order, and `table(grid)`, a pure projection of a grid of their reports
 //! into a [`crate::FigureTable`] with the same rows/series the paper
-//! plots. Its `run(ts, kinds)` is `table(&run_grid(ts, &specs(),
-//! kinds)?)`, for the same-named binary and the tests; `reproduce`
-//! instead projects every figure in [`FIGURES`] from one
-//! [`crate::points::PointTable`]. Figure numbers follow the paper:
+//! plots. The [`FIGURES`] registry pairs them under a `reproduce
+//! --figures` key: `reproduce` projects every selected figure from one
+//! [`crate::points::PointTable`], and [`Figure::run`] runs one figure
+//! alone the same way (for the tests and benches). Figure numbers follow
+//! the paper:
 //!
 //! * [`tables`] — Tables 1 (latency components), 2 (event latencies),
-//!   3 (benchmark characteristics);
+//!   3 (benchmark characteristics), printed by every `reproduce` run
+//!   (alone with `--figures ''`);
 //! * [`fig3`] — miss ratio vs cache associativity x victim-NC size;
 //! * [`fig4`] — inclusion NC vs victim NC;
 //! * [`fig5`] — block- vs page-indexed victim NC;
@@ -51,6 +53,14 @@ pub struct Figure {
     pub specs: fn() -> Vec<SystemSpec>,
     /// Its table, from a grid of `specs()` reports.
     pub table: fn(&[GridRow]) -> FigureTable,
+}
+
+impl Figure {
+    /// The figure whose `reproduce --figures` key is `key`.
+    #[must_use]
+    pub fn by_key(key: &str) -> Option<&'static Figure> {
+        FIGURES.iter().find(|f| f.key == key)
+    }
 }
 
 /// Every figure `reproduce` runs, in order.
@@ -127,4 +137,13 @@ pub const FIGURES: [Figure; 11] = [
 #[must_use]
 pub fn all_workloads() -> Vec<WorkloadKind> {
     WorkloadKind::all().to_vec()
+}
+
+/// The figure keyed `key`, run alone over `kinds` at scale 0.1: the
+/// figure modules' tests.
+#[cfg(test)]
+fn run_alone(key: &str, kinds: &[WorkloadKind]) -> FigureTable {
+    let figure = Figure::by_key(key).unwrap_or_else(|| panic!("no figure '{key}'"));
+    let mut ts = crate::TraceSet::new(dsm_trace::Scale::new(0.1).unwrap());
+    figure.run(&mut ts, kinds).expect("figure run")
 }

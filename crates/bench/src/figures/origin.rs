@@ -10,11 +10,9 @@
 //! `NCD` for context, normalized to the infinite DRAM NC as in Figure 9.
 
 use dsm_core::{Report, SystemSpec};
-use dsm_trace::WorkloadKind;
-use dsm_types::DsmError;
 
 use crate::figures::fig9::StallMetric;
-use crate::harness::{names, normalized_table, run_grid, FigureTable, GridRow, TraceSet};
+use crate::harness::{names, normalized_table, FigureTable, GridRow};
 
 /// The systems of the Origin experiment, baseline first.
 #[must_use]
@@ -40,15 +38,13 @@ pub fn table(grid: &[GridRow]) -> FigureTable {
     )
 }
 
-/// Runs the Origin comparison over `kinds`.
-pub fn run(ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
-    Ok(table(&run_grid(ts, &specs(), kinds)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsm_trace::Scale;
+    use crate::figures::run_alone;
+    use crate::harness::TraceSet;
+    use crate::points::PointTable;
+    use dsm_trace::{Scale, WorkloadKind};
 
     #[test]
     fn origin_policies_engage_on_read_mostly_workloads() {
@@ -57,9 +53,10 @@ mod tests {
         // reuse — with our uniform-random walk it does not, which is
         // itself the expected Origin behaviour on reuse-free data.
         let mut ts = TraceSet::new(Scale::new(0.1).unwrap());
-        let grid =
-            crate::harness::run_grid(&mut ts, &[SystemSpec::origin()], &[WorkloadKind::Raytrace])
-                .expect("origin grid");
+        let specs = [SystemSpec::origin()];
+        let table = PointTable::new([specs.to_vec()]);
+        let results = table.run(&mut ts, &[WorkloadKind::Raytrace]);
+        let grid = table.project(&results, &specs).expect("origin grid");
         let m = &grid[0].1[0].metrics;
         assert!(m.replications > 0, "{m:?}");
         assert!(
@@ -70,8 +67,7 @@ mod tests {
 
     #[test]
     fn victim_nc_composes_with_origin() {
-        let mut ts = TraceSet::new(Scale::new(0.1).unwrap());
-        let t = run(&mut ts, &[WorkloadKind::Barnes]).expect("figure run");
+        let t = run_alone("origin", &[WorkloadKind::Barnes]);
         let v = &t.rows[0].1;
         // The paper's hypothesis: origin+vb <= origin (the NC absorbs
         // conflict misses the OS policies would otherwise chase).

@@ -12,10 +12,10 @@ use dsm_trace::{open_shared_mapped, write_shared, Scale, SharedTrace, WorkloadKi
 use dsm_types::{DsmError, Geometry, Topology};
 
 use crate::journal::SweepJournal;
-use crate::sweep::{run_sweep, Jobs, SweepOutcome, SweepPoint};
+use crate::sweep::Jobs;
 
-/// The flags every figure binary accepts — one usage text shared by all
-/// of them (and embedded in `reproduce`'s extended usage).
+/// The flags `reproduce`, `profile` and `throughput` accept — one usage
+/// text shared by all of them, printed under each binary's usage line.
 pub const COMMON_FLAGS_USAGE: &str = "\
 common flags:
   --scale <f>  trace-length scale factor in (0, 1] (env DSM_SCALE; default 1.0)
@@ -144,14 +144,14 @@ pub fn parse_argv(
 }
 
 /// Arms the process-wide fault plan from `args.fault_seed` (or, when no
-/// seed was given, from `DSM_FAULT_PLAN`). Binaries call this once
-/// right after flag parsing; with neither source set it is a no-op and
-/// the injection sites stay zero-cost.
+/// seed was given, from `DSM_FAULT_PLAN`). [`parse_run_args`] calls this
+/// once, right after flag parsing; with neither source set it is a no-op
+/// and the injection sites stay zero-cost.
 ///
 /// # Errors
 ///
 /// A malformed `DSM_FAULT_PLAN` spec is a usage error (exit code 2).
-pub fn install_fault_plan(args: &RunArgs) -> Result<(), DsmError> {
+fn install_fault_plan(args: &RunArgs) -> Result<(), DsmError> {
     if let Some(seed) = args.fault_seed {
         let plan = dsm_core::fault::FaultPlan::derive(seed);
         dsm_core::fault::install(Some(plan));
@@ -179,12 +179,19 @@ pub fn report_failure(e: &DsmError) -> std::process::ExitCode {
     std::process::ExitCode::from(e.exit_code())
 }
 
-/// Parses the process arguments of a figure binary (only the common
-/// flags), exiting with `usage_line` on anything unrecognized.
+/// The one command-line parser of the experiment binaries: parses the
+/// process arguments with [`parse_argv`] (the common flags, then the
+/// binary's own through `extra`) and arms the fault plan from
+/// `--fault-seed` or `DSM_FAULT_PLAN`. Any error, a malformed plan
+/// included, prints `usage_line` with the shared flag reference and exits
+/// with status 2.
 #[must_use]
-pub fn parse_run_args(usage_line: &str) -> RunArgs {
+pub fn parse_run_args(
+    usage_line: &str,
+    extra: impl FnMut(&[String], usize) -> Result<usize, String>,
+) -> RunArgs {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_argv(&argv, |_, _| Ok(0)).unwrap_or_else(|msg| usage_exit(usage_line, &msg));
+    let args = parse_argv(&argv, extra).unwrap_or_else(|msg| usage_exit(usage_line, &msg));
     if let Err(e) = install_fault_plan(&args) {
         usage_exit(usage_line, e.message());
     }
@@ -195,7 +202,7 @@ pub fn parse_run_args(usage_line: &str) -> RunArgs {
 /// configuration of a figure (the paper's same-trace methodology).
 ///
 /// The set also carries the sweep-engine worker count ([`Jobs`]): every
-/// grid built from this set ([`run_grid`]) executes its points on that
+/// [`crate::PointTable`] run on this set executes its points on that
 /// many workers, all reading the same immutable trace. Generation happens
 /// in [`TraceSet::prepare`] (or lazily in [`TraceSet::run`]) — never
 /// inside the parallel region.
@@ -238,8 +245,8 @@ impl TraceSet {
     }
 
     /// Builds a set from parsed CLI arguments: scale, sweep jobs and
-    /// the trace storage mode — the one-liner every figure binary uses
-    /// so the common flags are honored everywhere.
+    /// the trace storage mode — the one-liner every experiment binary
+    /// uses so the common flags are honored everywhere.
     #[must_use]
     pub fn from_args(args: &RunArgs) -> Self {
         let mut ts = TraceSet::with_jobs(args.scale, args.jobs);
@@ -370,10 +377,11 @@ impl TraceSet {
         )
     }
 
-    /// Generates (once) the trace for `kind`; afterwards the trace is
-    /// immutable and [`TraceSet::run_prepared`] can run on `&self` from
-    /// any number of threads.
-    pub fn prepare(&mut self, kind: WorkloadKind) {
+    /// Generates (once) the trace for `kind` and returns it; afterwards
+    /// the trace is immutable and [`TraceSet::run_prepared`] can run on
+    /// `&self` from any number of threads. Under [`TraceSet::set_mmap`]
+    /// the returned trace replays from a kernel mapping.
+    pub fn prepare(&mut self, kind: WorkloadKind) -> &SharedTrace {
         if !self.traces.contains_key(&kind) {
             let t0 = std::time::Instant::now();
             let mut span = self.tracer.as_deref().map(|t| {
@@ -392,6 +400,7 @@ impl TraceSet {
             self.traces.insert(kind, (w.shared_bytes(), trace));
             self.load_times.push((kind, t0.elapsed().as_secs_f64()));
         }
+        &self.traces[&kind].1
     }
 
     /// Every trace generation so far: the workload and its wall seconds,
@@ -649,92 +658,6 @@ pub fn names(specs: &[SystemSpec]) -> Vec<String> {
     specs.iter().map(|s| s.name.clone()).collect()
 }
 
-/// Runs each spec on each workload (sharing traces) and returns one row
-/// of outcomes per workload, in spec order.
-///
-/// Each workload's points are enumerated as [`SweepPoint`]s and executed
-/// through the parallel sweep engine on [`TraceSet::jobs`] workers — one
-/// workload at a time: its trace is generated, swept and dropped before
-/// the next, so peak memory stays at a single trace while all
-/// configurations of that workload run concurrently over it. Row order is
-/// identical to the serial run by the engine's submission-order
-/// guarantee. A failed point never aborts the remaining points — they
-/// keep running, and keep journaling if a journal is attached.
-pub fn sweep_grid(
-    ts: &mut TraceSet,
-    specs: &[SystemSpec],
-    kinds: &[WorkloadKind],
-) -> Vec<(WorkloadKind, Vec<SweepOutcome>)> {
-    let jobs = ts.jobs();
-    kinds
-        .iter()
-        .map(|&kind| {
-            let points: Vec<SweepPoint> = specs
-                .iter()
-                .map(|s| SweepPoint::new(s.clone(), kind))
-                .collect();
-            let outcomes = run_sweep(ts, &points, jobs);
-            ts.evict(kind);
-            (kind, outcomes)
-        })
-        .collect()
-}
-
-/// Splits sweep outcomes into a report grid.
-///
-/// # Errors
-///
-/// If any point failed, a [`DsmError`] whose message lists every
-/// failure with its one-line `simulate` repro invocation, noting the
-/// `journal_disabled` points that lost their journal entries (their
-/// retries will not be resumable).
-pub fn collect_grid(
-    rows: Vec<(WorkloadKind, Vec<SweepOutcome>)>,
-    journal_disabled: u64,
-) -> Result<Grid, DsmError> {
-    let mut grid = Vec::with_capacity(rows.len());
-    let mut failures = Vec::new();
-    for (kind, outcomes) in rows {
-        let mut reports = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            match outcome.result {
-                Ok(r) => reports.push(r),
-                Err(f) => failures.push(f),
-            }
-        }
-        grid.push((kind, reports));
-    }
-    if failures.is_empty() {
-        return Ok(grid);
-    }
-    let mut msg = format!("{} sweep point(s) failed:", failures.len());
-    for f in &failures {
-        msg.push_str("\n  ");
-        msg.push_str(&f.to_string());
-    }
-    if journal_disabled > 0 {
-        msg.push_str(&format!(
-            "\n  (journaling was disabled mid-run; {journal_disabled} point(s) were not journaled)"
-        ));
-    }
-    Err(DsmError::internal(msg))
-}
-
-/// [`sweep_grid`], as the grid of reports a figure projects.
-///
-/// # Errors
-///
-/// The whole grid is always attempted. If any point failed, returns the
-/// [`collect_grid`] error listing every failure.
-pub fn run_grid(
-    ts: &mut TraceSet,
-    specs: &[SystemSpec],
-    kinds: &[WorkloadKind],
-) -> Result<Grid, DsmError> {
-    let rows = sweep_grid(ts, specs, kinds);
-    collect_grid(rows, ts.journal().map_or(0, SweepJournal::disabled_points))
-}
-
 /// Builds a table of total cluster miss ratios (%) — the Figures 3-5/8
 /// format. Each column is one spec; relocation overhead (x225/30) is
 /// folded in when `include_relocation` is set (Figures 6-8 bar tops).
@@ -883,10 +806,13 @@ mod tests {
     #[test]
     fn mmap_trace_set_runs_match_owned_runs() {
         let mut owned = TraceSet::with_jobs(Scale::new(0.5).unwrap(), Jobs::serial());
+        assert!(!owned.prepare(WorkloadKind::Lu).is_mapped());
         let baseline = owned.run(&SystemSpec::vb(), WorkloadKind::Lu);
         let mut mapped = TraceSet::with_jobs(Scale::new(0.5).unwrap(), Jobs::serial());
         mapped.set_mmap(true);
         assert!(mapped.mmap());
+        // The prepared trace replays from the kernel mapping, not the heap.
+        assert!(mapped.prepare(WorkloadKind::Lu).is_mapped());
         let spilled = mapped.run(&SystemSpec::vb(), WorkloadKind::Lu);
         assert_eq!(baseline, spilled);
     }

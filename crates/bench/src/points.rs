@@ -13,7 +13,8 @@
 //! keeps its label. [`PointTable::run`] runs the distinct specs
 //! workload-major (one trace generated, swept and dropped at a time), and
 //! [`PointTable::project`] cuts each figure's grid back out of the
-//! results, renaming every report to the requesting spec.
+//! results, renaming every report to the requesting spec. A figure run
+//! alone ([`Figure::run`]) is the table of that one figure.
 
 use std::collections::hash_map::{Entry, HashMap};
 
@@ -21,8 +22,9 @@ use dsm_core::SystemSpec;
 use dsm_trace::WorkloadKind;
 use dsm_types::DsmError;
 
-use crate::harness::{collect_grid, sweep_grid, Grid, TraceSet};
-use crate::sweep::SweepOutcome;
+use crate::figures::Figure;
+use crate::harness::{FigureTable, Grid, TraceSet};
+use crate::sweep::{run_sweep, SweepOutcome, SweepPoint};
 
 /// A simulation's identity within one trace: the system spec without its
 /// display name. Two specs with equal keys produce equal reports.
@@ -103,9 +105,26 @@ impl PointTable {
 
     /// Runs every distinct spec on every workload, workload-major: each
     /// workload's trace is generated once, swept over all distinct specs
-    /// in one [`crate::run_sweep`], and dropped before the next.
+    /// in one [`run_sweep`] on [`TraceSet::jobs`] workers, and dropped
+    /// before the next, so peak memory stays at a single trace. Row order
+    /// is the serial run's by the engine's submission-order guarantee. A
+    /// failed point never aborts the others: they keep running, and keep
+    /// journaling if a journal is attached.
     pub fn run(&self, ts: &mut TraceSet, kinds: &[WorkloadKind]) -> TableResults {
-        sweep_grid(ts, &self.specs, kinds)
+        let jobs = ts.jobs();
+        kinds
+            .iter()
+            .map(|&kind| {
+                let points: Vec<SweepPoint> = self
+                    .specs
+                    .iter()
+                    .map(|s| SweepPoint::new(s.clone(), kind))
+                    .collect();
+                let outcomes = run_sweep(ts, &points, jobs);
+                ts.evict(kind);
+                (kind, outcomes)
+            })
+            .collect()
     }
 
     /// Projects one figure's grid out of `results`: its specs, in its
@@ -145,8 +164,55 @@ impl PointTable {
                 (*kind, cells)
             })
             .collect();
-        collect_grid(rows, 0)
+        collect_grid(rows)
     }
+}
+
+impl Figure {
+    /// Runs this figure alone over `kinds`: a one-figure [`PointTable`],
+    /// projected through the figure's `table`, as `reproduce --figures`
+    /// prints it.
+    ///
+    /// # Errors
+    ///
+    /// The whole grid is always attempted. If any point failed, a
+    /// [`DsmError`] listing every failure with its repro line.
+    pub fn run(&self, ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
+        let specs = (self.specs)();
+        let table = PointTable::new([specs.clone()]);
+        let results = table.run(ts, kinds);
+        Ok((self.table)(&table.project(&results, &specs)?))
+    }
+}
+
+/// Splits sweep outcomes into a report grid.
+///
+/// # Errors
+///
+/// If any point failed, a [`DsmError`] whose message lists every
+/// failure with its one-line `simulate` repro invocation.
+fn collect_grid(rows: TableResults) -> Result<Grid, DsmError> {
+    let mut grid = Vec::with_capacity(rows.len());
+    let mut failures = Vec::new();
+    for (kind, outcomes) in rows {
+        let mut reports = Vec::with_capacity(outcomes.len());
+        for outcome in outcomes {
+            match outcome.result {
+                Ok(r) => reports.push(r),
+                Err(f) => failures.push(f),
+            }
+        }
+        grid.push((kind, reports));
+    }
+    if failures.is_empty() {
+        return Ok(grid);
+    }
+    let mut msg = format!("{} sweep point(s) failed:", failures.len());
+    for f in &failures {
+        msg.push_str("\n  ");
+        msg.push_str(&f.to_string());
+    }
+    Err(DsmError::internal(msg))
 }
 
 #[cfg(test)]

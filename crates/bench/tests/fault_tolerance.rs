@@ -198,3 +198,42 @@ fn killed_auto_sharded_sweep_resumes_to_byte_identical_output() {
         &["--shard-workers", "auto"],
     );
 }
+
+/// Every experiment binary parses its flags through
+/// `dsm_bench::parse_run_args`, which arms the fault plan: a malformed
+/// `DSM_FAULT_PLAN` is a usage error (exit 2) before any work starts,
+/// never a silently disarmed run.
+#[test]
+fn every_bench_binary_rejects_a_malformed_fault_plan() {
+    let runs: [(&str, &str, &[&str]); 3] = [
+        (
+            "reproduce",
+            env!("CARGO_BIN_EXE_reproduce"),
+            &["--figures", ""],
+        ),
+        (
+            "profile",
+            env!("CARGO_BIN_EXE_profile"),
+            &["--workload", "lu", "--scale", "0.01", "--systems", "base"],
+        ),
+        (
+            "throughput",
+            env!("CARGO_BIN_EXE_throughput"),
+            &["--scale", "0.01"],
+        ),
+    ];
+    for (name, exe, args) in runs {
+        let out = Command::new(exe)
+            .args(args)
+            .env("DSM_FAULT_PLAN", "garbage")
+            .output()
+            .unwrap_or_else(|e| panic!("spawn {name}: {e}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}:\n{stderr}");
+        assert!(
+            stderr.contains(&format!("usage: {name}")),
+            "{name}:\n{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{name} must not start work");
+    }
+}

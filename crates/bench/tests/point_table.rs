@@ -1,9 +1,14 @@
 //! `reproduce` through its point table: each distinct simulation runs
 //! once per workload, and the sweep journal matches points by content,
-//! workload and scale.
+//! workload and scale. `reproduce --figures <keys>` is the one command
+//! that prints the paper's tables and figures.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+use dsm_bench::figures::{tables, Figure};
+use dsm_bench::{Jobs, TraceSet};
+use dsm_trace::{Scale, WorkloadKind};
 
 fn reproduce(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_reproduce"))
@@ -52,6 +57,57 @@ fn figure_10_reuses_figure_9_points() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("# Figure 9:"), "{stdout}");
     assert!(stdout.contains("# Figure 10:"), "{stdout}");
+}
+
+/// Tables 1-3, each followed by a blank line, as every run prints them
+/// first.
+fn tables_1_to_3() -> String {
+    format!(
+        "{}\n{}\n{}\n",
+        tables::table1(),
+        tables::table2(),
+        tables::table3()
+    )
+}
+
+#[test]
+fn no_figures_prints_tables_1_to_3_and_simulates_nothing() {
+    let out = reproduce(&["--figures", "", "--progress"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "reproduce failed:\n{stderr}");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), tables_1_to_3());
+    assert!(point_lines(&stderr).is_empty(), "{stderr}");
+}
+
+#[test]
+fn figure_6_prints_both_page_cache_tables() {
+    let out = reproduce(&[
+        "--scale",
+        "0.05",
+        "--figures",
+        "fig6,fig6-tight",
+        "--workloads",
+        "lu",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "reproduce failed:\n{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for denom in [5, 16] {
+        let caption = format!(
+            "# Figure 6: cluster miss ratio + relocation overhead (%), fixed(32) vs adaptive \
+             threshold, ncp{denom}\n"
+        );
+        assert!(stdout.contains(&caption), "{stdout}");
+    }
+    // Each figure prints exactly its table alone, in registry order.
+    let mut expected = tables_1_to_3();
+    for key in ["fig6", "fig6-tight"] {
+        let figure = Figure::by_key(key).expect("registered");
+        let mut ts = TraceSet::with_jobs(Scale::new(0.05).unwrap(), Jobs::serial());
+        let table = figure.run(&mut ts, &[WorkloadKind::Lu]).expect(key);
+        expected.push_str(&format!("{}\n", table.render()));
+    }
+    assert_eq!(stdout, expected);
 }
 
 /// A journal written at one scale must not answer for another: the

@@ -2,28 +2,33 @@
 //! N workers must be *identical* — row order, labels, and every f64 bit —
 //! to the serial legacy run, because each sweep point is a pure function
 //! of (spec, shared trace) and the engine returns results in submission
-//! order. Likewise a figure projected from the shared point table must be
-//! identical to the figure run on its own.
+//! order. Likewise a figure projected from the all-figures point table
+//! must be identical to the figure run on its own.
 
-use dsm_bench::figures::{
-    all_workloads, fig10, fig11, fig3, fig4, fig5, fig6, fig7, fig8, fig9, origin, FIGURES,
-};
+use dsm_bench::figures::{all_workloads, Figure, FIGURES};
 use dsm_bench::harness::names;
-use dsm_bench::{FigureTable, Jobs, PointTable, TraceSet};
+use dsm_bench::{Jobs, PointTable, TraceSet};
 use dsm_trace::{Scale, WorkloadKind};
-use dsm_types::DsmError;
 
 fn scale() -> Scale {
     Scale::new(0.05).unwrap()
+}
+
+fn figure(key: &str) -> &'static Figure {
+    Figure::by_key(key).unwrap_or_else(|| panic!("no figure '{key}'"))
 }
 
 #[test]
 fn fig3_parallel_equals_serial() {
     let kinds = [WorkloadKind::Lu, WorkloadKind::Fft, WorkloadKind::Radix];
     let mut serial_ts = TraceSet::with_jobs(scale(), Jobs::serial());
-    let serial = fig3::run(&mut serial_ts, &kinds).expect("serial fig3");
+    let serial = figure("fig3")
+        .run(&mut serial_ts, &kinds)
+        .expect("serial fig3");
     let mut parallel_ts = TraceSet::with_jobs(scale(), Jobs::new(4).unwrap());
-    let parallel = fig3::run(&mut parallel_ts, &kinds).expect("parallel fig3");
+    let parallel = figure("fig3")
+        .run(&mut parallel_ts, &kinds)
+        .expect("parallel fig3");
 
     assert_eq!(serial.caption, parallel.caption);
     assert_eq!(serial.columns, parallel.columns);
@@ -45,43 +50,45 @@ fn normalized_figure_parallel_equals_serial() {
     // Figure 9 normalizes every column to the first spec's report, so it
     // also exercises cross-point data flow after the parallel region.
     let kinds = [WorkloadKind::Lu];
-    let serial =
-        fig9::run(&mut TraceSet::with_jobs(scale(), Jobs::serial()), &kinds).expect("serial fig9");
-    let parallel = fig9::run(
-        &mut TraceSet::with_jobs(scale(), Jobs::new(4).unwrap()),
-        &kinds,
-    )
-    .expect("parallel fig9");
+    let serial = figure("fig9")
+        .run(&mut TraceSet::with_jobs(scale(), Jobs::serial()), &kinds)
+        .expect("serial fig9");
+    let parallel = figure("fig9")
+        .run(
+            &mut TraceSet::with_jobs(scale(), Jobs::new(4).unwrap()),
+            &kinds,
+        )
+        .expect("parallel fig9");
     assert_eq!(serial.render(), parallel.render());
 }
 
 #[test]
 fn all_workloads_matches_paper_count() {
     // The sweep tests above subsample workloads for speed; make sure the
-    // full enumeration the binaries sweep over is still the paper's 8.
+    // full enumeration `reproduce` sweeps over is still the paper's 8.
     assert_eq!(all_workloads().len(), 8);
 }
 
 #[test]
 fn figures_projected_from_the_point_table_match_their_own_runs() {
-    type Runner = fn(&mut TraceSet, &[WorkloadKind]) -> Result<FigureTable, DsmError>;
-    let runs: [(&str, Runner); 11] = [
-        ("fig3", fig3::run),
-        ("fig4", fig4::run),
-        ("fig5", fig5::run),
-        ("fig6", fig6::run),
-        ("fig6-tight", fig6::run_tight),
-        ("fig7", fig7::run),
-        ("fig8", fig8::run),
-        ("fig9", fig9::run),
-        ("fig10", fig10::run),
-        ("fig11", fig11::run),
-        ("origin", origin::run),
+    let keys = [
+        "fig3",
+        "fig4",
+        "fig5",
+        "fig6",
+        "fig6-tight",
+        "fig7",
+        "fig8",
+        "fig9",
+        "fig10",
+        "fig11",
+        "origin",
     ];
     let kinds = [WorkloadKind::Lu];
     let table = PointTable::new(FIGURES.iter().map(|f| (f.specs)()));
     let results = table.run(&mut TraceSet::new(scale()), &kinds);
-    for (fig, (key, run)) in FIGURES.iter().zip(runs) {
+    assert_eq!(FIGURES.len(), keys.len());
+    for (fig, key) in FIGURES.iter().zip(keys) {
         assert_eq!(fig.key, key, "figure order");
         let specs = (fig.specs)();
         let grid = table.project(&results, &specs).expect("projection");
@@ -89,7 +96,10 @@ fn figures_projected_from_the_point_table_match_their_own_runs() {
         let systems: Vec<String> = grid[0].1.iter().map(|r| r.system.clone()).collect();
         assert_eq!(systems, names(&specs), "{key}: report names");
         let projected = (fig.table)(&grid);
-        let direct = run(&mut TraceSet::new(scale()), &kinds).expect("figure run");
+        // One figure alone: its own one-figure point table.
+        let direct = fig
+            .run(&mut TraceSet::new(scale()), &kinds)
+            .expect("figure run");
         assert_eq!(projected.render(), direct.render(), "{key}: rendered table");
         assert_eq!(
             projected.to_json().render(),

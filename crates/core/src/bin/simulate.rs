@@ -280,7 +280,9 @@ fn print_stats(system: &System<StatsSink>, top: usize) {
 }
 
 fn run(o: &Options) -> Result<(), DsmError> {
-    let spec = o.system.clone().expect("parse_args requires --system");
+    let Some(spec) = o.system.clone() else {
+        return Err(DsmError::usage("--system is required"));
+    };
     let (trace, data_bytes, name) = if let Some(kind) = o.workload {
         let scale = Scale::new(o.scale).map_err(DsmError::from)?;
         let w = if o.dev {

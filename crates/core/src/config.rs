@@ -23,6 +23,7 @@ pub mod text;
 
 use crate::model::NcTechnology;
 use crate::nc::NcIndexing;
+use dsm_directory::MAX_POINTERS;
 use dsm_types::{ConfigError, Geometry};
 
 /// Processor-cache geometry (per processor).
@@ -570,9 +571,10 @@ impl SystemSpec {
         }
         if let DirectorySpec::LimitedPointer { pointers } = self.directory {
             // The packed entries of `dsm_directory`'s Dir-i-B directory.
-            if !(1..=8).contains(&pointers) {
+            if !(1..=MAX_POINTERS).contains(&pointers) {
                 return Err(ConfigError::new(format!(
-                    "a Dir-i-B directory entry holds 1 to 8 sharer pointers, not {pointers}"
+                    "a Dir-i-B directory entry holds 1 to {MAX_POINTERS} sharer pointers, \
+                     not {pointers}"
                 )));
             }
         }

@@ -41,7 +41,7 @@ pub mod rnuma;
 pub mod unit;
 
 pub use full_map::{FullMapDirectory, ReadGrant, WriteGrant};
-pub use limited::LimitedPointerDirectory;
+pub use limited::{LimitedPointerDirectory, MAX_POINTERS};
 pub use placement::{FirstTouchPlacement, HomeMap};
 pub use rnuma::RnumaCounters;
 pub use unit::DirectoryUnit;

@@ -40,8 +40,9 @@ use crate::full_map::{ReadGrant, WriteGrant};
 /// presence-word limit of the coherence layer.
 const SLOT_BITS: u64 = 6;
 const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
-/// Pointer slots available in the packed word (bits 0..48).
-const MAX_POINTERS: usize = 8;
+/// Pointer slots available in the packed word (bits 0..48): the most
+/// sharer pointers a Dir-i-B entry can hold.
+pub const MAX_POINTERS: usize = 8;
 const COUNT_SHIFT: u64 = 48;
 const COUNT_MASK: u64 = 0xf;
 const BROADCAST_BIT: u64 = 1 << 52;

@@ -48,9 +48,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!(
-        "\nFigure 6 of the paper (binary `fig6`) runs the fixed-vs-adaptive\n\
-         comparison across all eight benchmarks; Figure 11 (binary `fig11`)\n\
-         shows why `vxp`'s eager victimization counters prefer threshold 64."
+        "\nFigure 6 of the paper (`reproduce --figures fig6`) runs the\n\
+         fixed-vs-adaptive comparison across all eight benchmarks; Figure 11\n\
+         (`reproduce --figures fig11`) shows why `vxp`'s eager victimization\n\
+         counters prefer threshold 64."
     );
     Ok(())
 }

@@ -62,8 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     evaluate(&Raytrace::with_scene_mb(8), "irregular, sparse working set")?;
 
     println!(
-        "Figure 9 of the paper (binary `fig9`) runs this comparison across\n\
-         all eight benchmarks at full scale."
+        "Figure 9 of the paper (`reproduce --figures fig9`) runs this\n\
+         comparison across all eight benchmarks at full scale."
     );
     Ok(())
 }

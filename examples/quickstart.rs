@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nThe victim NC serves conflict/capacity misses at bus speed (1 cycle)\n\
          while the DRAM NC charges 13 cycles on hits and adds 3 cycles to\n\
-         every miss - Table 1 of the paper, reproduced by `--bin tables`."
+         every miss - Table 1 of the paper, printed by `reproduce --figures ''`."
     );
     Ok(())
 }

@@ -58,6 +58,25 @@ if [[ $bad -ne 0 ]]; then
   exit 1
 fi
 
+echo "== documented binaries gate =="
+# Every binary the docs, the verify skill and CI name must exist: a
+# command line naming a deleted binary fails only when someone copies it.
+shopt -s dotglob nullglob
+docs=(README.md DESIGN.md */skills/verify/SKILL.md .github/workflows/ci.yml)
+shopt -u dotglob nullglob
+missing=0
+while IFS=: read -r f line name; do
+  if ! compgen -G "crates/*/src/bin/$name.rs" > /dev/null; then
+    echo "$f:$line: names binary '$name', but no crates/*/src/bin/$name.rs exists"
+    missing=1
+  fi
+done < <(grep -noE -- '--bin [A-Za-z0-9_-]+|target/(release|debug)/[A-Za-z0-9_-]+' "${docs[@]}" \
+  | sed -E 's#^([^:]*:[0-9]+:).*[ /]#\1#')
+if [[ $missing -ne 0 ]]; then
+  echo "error: a doc or CI step names a binary that does not exist"
+  exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 
