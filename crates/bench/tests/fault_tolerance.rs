@@ -237,3 +237,31 @@ fn every_bench_binary_rejects_a_malformed_fault_plan() {
         assert!(out.stdout.is_empty(), "{name} must not start work");
     }
 }
+
+/// The instrumented form (`--epoch`/`--trace-events`) reads none of the
+/// figure form's flags: naming one is a usage error that starts no work
+/// and writes no journal.
+#[test]
+fn instrumented_form_rejects_figure_only_flags() {
+    let tmp = std::env::temp_dir().join(format!("dsm-instrumented-flags-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
+    std::fs::create_dir_all(&tmp).unwrap();
+    let journal = tmp.join("j.jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["--epoch", "20000", "--workloads", "lu", "--scale", "0.02"])
+        .args(["--figures", "fig4", "--phase-stats", "--journal"])
+        .arg(&journal)
+        .arg("--out")
+        .arg(tmp.join("o"))
+        .output()
+        .expect("spawn reproduce");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("usage: reproduce"), "{stderr}");
+    assert!(!journal.exists(), "a rejected run must not write a journal");
+    assert!(
+        !tmp.join("o").exists(),
+        "a rejected run must not write reports"
+    );
+    std::fs::remove_dir_all(&tmp).unwrap();
+}

@@ -325,20 +325,6 @@ impl ClusterCounts {
         self.relocations += relocations;
     }
 
-    /// The counters accumulated since `earlier` (an earlier snapshot of
-    /// this cluster's monotonically-growing counters).
-    #[must_use]
-    pub fn delta(&self, earlier: &ClusterCounts) -> ClusterCounts {
-        ClusterCounts {
-            refs: self.refs - earlier.refs,
-            remote_reads: self.remote_reads - earlier.remote_reads,
-            remote_writes: self.remote_writes - earlier.remote_writes,
-            nc_hits: self.nc_hits - earlier.nc_hits,
-            pc_hits: self.pc_hits - earlier.pc_hits,
-            relocations: self.relocations - earlier.relocations,
-        }
-    }
-
     /// Every counter as a `(name, value)` pair, in declaration order.
     #[must_use]
     pub fn fields(&self) -> Vec<(&'static str, u64)> {
@@ -528,8 +514,11 @@ mod tests {
         merged.merge(&b);
         assert_eq!(merged.refs, 110);
         assert_eq!(merged.relocations, 66);
-        assert_eq!(merged.delta(&a), b);
         assert_eq!(merged.fields().len(), 6);
+        // Merge is commutative.
+        let mut other_way = b;
+        other_way.merge(&a);
+        assert_eq!(other_way, merged);
     }
 
     #[test]

@@ -18,51 +18,9 @@ use crate::transaction::{InvalidationResult, PeerReadSupply, PeerWriteSupply};
 pub struct BusCluster {
     caches: Vec<ProcCache>,
     dirty_shared: bool,
-    stats: BusStats,
-}
-
-/// Per-bus transaction counters, maintained by every snooping operation.
-///
-/// These are the cluster-bus component of the observability layer: the
-/// system simulator's probes count *machine* events (misses, relocations);
-/// these count the *bus transactions* underneath them, per cluster, so a
-/// stats view can show which cluster's bus is hot and what kind of traffic
-/// loads it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BusStats {
-    /// Read hits serviced within one cache (LRU refresh only).
-    pub read_hits: u64,
-    /// Silent write hits in `M`/`E`.
-    pub write_hits: u64,
-    /// Cache-to-cache read supplies over the bus.
-    pub peer_read_supplies: u64,
-    /// Cache-to-cache write supplies (with peer invalidation).
-    pub peer_write_supplies: u64,
-    /// Write upgrades broadcast on the bus.
-    pub upgrades: u64,
-    /// Block fills from outside the processor caches (NC, PC, home).
-    pub fills: u64,
-    /// External (directory-ordered) invalidation broadcasts.
-    pub external_invalidations: u64,
-    /// External downgrades of a dirty owner.
-    pub downgrades: u64,
-    /// MESIR replacement hand-offs (`S -> R` promotions).
-    pub promotions: u64,
-}
-
-impl BusStats {
-    /// Total bus transactions (everything except in-cache read/write hits,
-    /// which never arbitrate for the bus).
-    #[must_use]
-    pub fn transactions(&self) -> u64 {
-        self.peer_read_supplies
-            + self.peer_write_supplies
-            + self.upgrades
-            + self.fills
-            + self.external_invalidations
-            + self.downgrades
-            + self.promotions
-    }
+    /// Peer supplies, upgrades, fills, external invalidations and
+    /// downgrades, and MESIR replacement hand-offs carried so far.
+    transactions: u64,
 }
 
 impl BusCluster {
@@ -78,7 +36,7 @@ impl BusCluster {
         BusCluster {
             caches: (0..procs).map(|_| ProcCache::new(shape)).collect(),
             dirty_shared: false,
-            stats: BusStats::default(),
+            transactions: 0,
         }
     }
 
@@ -138,40 +96,29 @@ impl BusCluster {
     ///
     /// Panics (debug) if the block is not resident.
     pub fn read_hit(&mut self, proc: LocalProcId, block: BlockAddr) {
-        self.stats.read_hits += 1;
         let s = self.cache_mut(proc).touch(block);
         debug_assert!(s.is_valid(), "read_hit on absent block {block}");
     }
 
     /// Single-scan read-hit attempt: if `proc` holds `block` in a valid
-    /// state, refreshes its LRU position, counts a read hit and returns
-    /// `true`; on a miss returns `false` with no state change. Equivalent
-    /// to `state_of` followed by `read_hit`, with one tag-array scan
-    /// instead of two.
+    /// state, refreshes its LRU position and returns `true`; on a miss
+    /// returns `false` with no state change. Equivalent to `state_of`
+    /// followed by `read_hit`, with one tag-array scan instead of two.
     #[inline]
     pub fn try_read_hit(&mut self, proc: LocalProcId, block: BlockAddr) -> bool {
-        if self.cache_mut(proc).touch(block).is_valid() {
-            self.stats.read_hits += 1;
-            true
-        } else {
-            false
-        }
+        self.cache_mut(proc).touch(block).is_valid()
     }
 
     /// Single-scan write probe: returns the state `proc` held `block` in
     /// before the probe (`Invalid` on a miss), refreshing LRU on a hit. If
     /// that state allows a silent write (`M`/`E`) the `E -> M` transition
-    /// is applied and a write hit is counted; for `S`/`R`/`O` the caller
-    /// follows up with an upgrade, for `Invalid` with the miss path.
-    /// Equivalent to `state_of` + `write_hit_exclusive` on the silent-write
-    /// path, with one tag-array scan instead of three.
+    /// is applied; for `S`/`R`/`O` the caller follows up with an upgrade,
+    /// for `Invalid` with the miss path. Equivalent to `state_of` +
+    /// `write_hit_exclusive` on the silent-write path, with one tag-array
+    /// scan instead of three.
     #[inline]
     pub fn write_probe(&mut self, proc: LocalProcId, block: BlockAddr) -> CacheState {
-        let s = self.cache_mut(proc).write_probe(block);
-        if s.allows_silent_write() {
-            self.stats.write_hits += 1;
-        }
-        s
+        self.cache_mut(proc).write_probe(block)
     }
 
     /// Records a write hit in `M`/`E` (silent `E -> M` transition, LRU
@@ -182,7 +129,6 @@ impl BusCluster {
     /// Panics if the block is not resident in a state allowing a silent
     /// write.
     pub fn write_hit_exclusive(&mut self, proc: LocalProcId, block: BlockAddr) {
-        self.stats.write_hits += 1;
         let cache = self.cache_mut(proc);
         let s = cache.touch(block);
         assert!(
@@ -232,7 +178,7 @@ impl BusCluster {
         supplier: LocalProcId,
         block: BlockAddr,
     ) -> PeerReadSupply {
-        self.stats.peer_read_supplies += 1;
+        self.transactions += 1;
         let current = self.cache(supplier).state_of(block);
         assert!(
             current.is_valid(),
@@ -267,7 +213,7 @@ impl BusCluster {
         requester: LocalProcId,
         block: BlockAddr,
     ) -> PeerWriteSupply {
-        self.stats.peer_write_supplies += 1;
+        self.transactions += 1;
         let mut took_dirty_data = false;
         let mut peers_invalidated = 0;
         for (i, cache) in self.caches.iter_mut().enumerate() {
@@ -301,7 +247,7 @@ impl BusCluster {
     ///
     /// Panics if `proc` does not hold the block in a valid state.
     pub fn upgrade(&mut self, proc: LocalProcId, block: BlockAddr) -> usize {
-        self.stats.upgrades += 1;
+        self.transactions += 1;
         let s = self.cache(proc).state_of(block);
         assert!(s.is_valid(), "upgrade on absent block {block}");
         let mut invalidated = 0;
@@ -328,14 +274,14 @@ impl BusCluster {
         block: BlockAddr,
         state: CacheState,
     ) -> Option<Eviction> {
-        self.stats.fills += 1;
+        self.transactions += 1;
         self.cache_mut(proc).fill(block, state)
     }
 
     /// Invalidates every processor-cache copy of `block` (an external,
     /// directory-initiated invalidation).
     pub fn invalidate_all(&mut self, block: BlockAddr) -> InvalidationResult {
-        self.stats.external_invalidations += 1;
+        self.transactions += 1;
         let mut result = InvalidationResult::default();
         for cache in &mut self.caches {
             let s = cache.invalidate(block);
@@ -356,7 +302,7 @@ impl BusCluster {
     /// been silently replaced, in which case the home memory is already
     /// current. Clean (`E`) copies are downgraded to `Shared` as well.
     pub fn downgrade_to_shared(&mut self, block: BlockAddr) -> bool {
-        self.stats.downgrades += 1;
+        self.transactions += 1;
         for cache in &mut self.caches {
             // Single scan per cache: the downgrade probe finds and
             // rewrites the master frame in one tag-array pass (PR-6
@@ -378,7 +324,7 @@ impl BusCluster {
         for cache in &mut self.caches {
             // Single scan per cache (replacement path; see above).
             if cache.promote_if_shared(block) {
-                self.stats.promotions += 1;
+                self.transactions += 1;
                 return true;
             }
         }
@@ -397,15 +343,11 @@ impl BusCluster {
         self.caches.iter().filter(|c| c.contains(block)).count()
     }
 
-    /// Accumulated bus-transaction counters.
+    /// Bus transactions carried so far. In-cache read and write hits never
+    /// arbitrate for the bus and are not counted.
     #[must_use]
-    pub fn stats(&self) -> &BusStats {
-        &self.stats
-    }
-
-    /// Resets the transaction counters (state is untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats = BusStats::default();
+    pub fn transactions(&self) -> u64 {
+        self.transactions
     }
 
     /// Empties every cache (between-phase reset in experiments).
@@ -591,17 +533,13 @@ mod tests {
         c.peer_read_supply(P1, P0, B); // supply
         c.invalidate_all(B); // external invalidation
 
-        let s = *c.stats();
-        assert_eq!(s.fills, 1);
-        assert_eq!(s.read_hits, 1);
-        assert_eq!(s.upgrades, 1);
-        assert_eq!(s.write_hits, 1);
-        assert_eq!(s.peer_read_supplies, 1);
-        assert_eq!(s.external_invalidations, 1);
         // Transactions exclude the two in-cache hits.
-        assert_eq!(s.transactions(), 4);
+        assert_eq!(c.transactions(), 4);
 
-        c.reset_stats();
-        assert_eq!(*c.stats(), BusStats::default());
+        c.fill(P1, B, CacheState::Shared); // fill
+        c.downgrade_to_shared(B); // external downgrade
+        assert!(c.promote_sharer(B)); // hand-off
+        assert!(!c.promote_sharer(BlockAddr(99))); // no sharer: not a transaction
+        assert_eq!(c.transactions(), 7);
     }
 }

@@ -39,5 +39,5 @@ pub mod bus;
 pub mod mesir;
 pub mod transaction;
 
-pub use bus::{BusCluster, BusStats};
+pub use bus::BusCluster;
 pub use transaction::{InvalidationResult, PeerReadSupply, PeerWriteSupply};

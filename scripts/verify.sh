@@ -27,6 +27,9 @@ hot_paths=(
   crates/core/src/nc
   crates/core/src/page_cache
   crates/core/src/obs/mod.rs
+  crates/core/src/probe.rs
+  crates/core/src/phase.rs
+  crates/protocol/src/bus.rs
 )
 if grep -rn "std::collections::HashMap" "${hot_paths[@]}" | grep -v "^[^:]*:[0-9]*: *//"; then
   echo "error: default-hasher std HashMap on a per-reference path (use DenseMap/FxHashMap)"

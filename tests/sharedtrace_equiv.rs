@@ -6,15 +6,16 @@
 //! placement map (`System::process`, which decodes one `MemRef` and
 //! looks its page up, as every replay under OS migration/replication
 //! does). The two must be observationally identical: same aggregate
-//! metrics, same per-cluster counters, on every directory and cache
-//! configuration. These tests replay randomized and generated traces
+//! metrics, same events of every kind in every cluster, on every
+//! directory and cache configuration. These tests replay randomized and generated traces
 //! through both sources and also pin the columnar codec as a lossless
 //! round trip, so a future change to the decomposition columns or the
 //! batch decoder fails loudly rather than silently shifting figures.
 
+use dsm_core::obs::StatsSink;
 use dsm_core::{System, SystemSpec};
 use dsm_trace::{read_shared, write_shared, Scale, SharedTrace, WorkloadKind, BATCH};
-use dsm_types::{Addr, ClusterId, DecodedRef, Geometry, MemOp, MemRef, ProcId, Topology};
+use dsm_types::{Addr, DecodedRef, Geometry, MemOp, MemRef, ProcId, Topology};
 
 /// Deterministic xorshift64* generator — no external crates, fixed seeds.
 struct Rng(u64);
@@ -53,10 +54,11 @@ fn random_refs(seed: u64, len: usize, topo: &Topology) -> Vec<MemRef> {
 
 /// Replays `refs` one `System::process` call at a time: homes from the
 /// live placement map.
-fn metrics_per_ref(spec: &SystemSpec, refs: &[MemRef], data_bytes: u64) -> System {
+fn metrics_per_ref(spec: &SystemSpec, refs: &[MemRef], data_bytes: u64) -> System<StatsSink> {
     let topo = Topology::paper_default();
     let geo = Geometry::paper_default();
-    let mut sys = System::new(spec.clone(), topo, geo, data_bytes).unwrap();
+    let mut sys =
+        System::with_probe(spec.clone(), topo, geo, data_bytes, StatsSink::new()).unwrap();
     for &r in refs {
         sys.process(r);
     }
@@ -65,12 +67,13 @@ fn metrics_per_ref(spec: &SystemSpec, refs: &[MemRef], data_bytes: u64) -> Syste
 
 /// Replays the same trace through the batched loop: on a fresh machine
 /// without OS page policies, homes from the trace's first-touch column.
-fn metrics_shared(spec: &SystemSpec, trace: &SharedTrace, data_bytes: u64) -> System {
-    let mut sys = System::new(
+fn metrics_shared(spec: &SystemSpec, trace: &SharedTrace, data_bytes: u64) -> System<StatsSink> {
+    let mut sys = System::with_probe(
         spec.clone(),
         *trace.topology(),
         *trace.geometry(),
         data_bytes,
+        StatsSink::new(),
     )
     .unwrap();
     sys.run_shared(trace);
@@ -89,14 +92,12 @@ fn assert_paths_agree(spec: &SystemSpec, refs: &[MemRef], data_bytes: u64) {
         "aggregate metrics diverge on {}",
         spec.name
     );
-    for c in 0..topo.clusters() {
-        assert_eq!(
-            a.cluster_counts(ClusterId(c)),
-            b.cluster_counts(ClusterId(c)),
-            "cluster {c} counters diverge on {}",
-            spec.name
-        );
-    }
+    assert_eq!(
+        a.probe().counts(),
+        b.probe().counts(),
+        "events by cluster and kind diverge on {}",
+        spec.name
+    );
 }
 
 #[test]

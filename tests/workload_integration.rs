@@ -115,16 +115,17 @@ fn victim_capture_rate_tracks_locality() {
 
 #[test]
 fn per_cluster_counts_sum_to_global() {
+    use dsm_core::obs::StatsSink;
     use dsm_core::System;
-    use dsm_types::ClusterId;
     let w = WorkloadKind::Fft.dev_instance();
     let topo = Topology::paper_default();
     let geo = Geometry::paper_default();
-    let mut sys = System::new(
+    let mut sys = System::with_probe(
         SystemSpec::vbp(PcSize::DataFraction(5)),
         topo,
         geo,
         w.shared_bytes(),
+        StatsSink::new(),
     )
     .unwrap();
     let refs = w.generate(&topo, Scale::new(0.3).unwrap());
@@ -137,7 +138,7 @@ fn per_cluster_counts_sum_to_global() {
     let mut pc_hits = 0;
     let mut relocations = 0;
     for c in topo.cluster_ids() {
-        let cc = sys.cluster_counts(c);
+        let cc = sys.probe().counts().cluster_counts(usize::from(c.0));
         refs += cc.refs;
         remote_reads += cc.remote_reads;
         remote_writes += cc.remote_writes;
@@ -153,9 +154,9 @@ fn per_cluster_counts_sum_to_global() {
     assert_eq!(relocations, m.relocations);
     // Every cluster participates in a well-balanced SPLASH-2 kernel.
     for c in topo.cluster_ids() {
-        assert!(sys.cluster_counts(c).refs > 0, "{c} idle");
+        let refs = sys.probe().counts().cluster_counts(usize::from(c.0)).refs;
+        assert!(refs > 0, "{c} idle");
     }
-    let _ = ClusterId(0);
 }
 
 #[test]
