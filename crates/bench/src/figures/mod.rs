@@ -6,7 +6,7 @@
 //! plots. The [`FIGURES`] registry pairs them under a `reproduce
 //! --figures` key: `reproduce` projects every selected figure from one
 //! [`crate::points::PointTable`], and [`Figure::run`] runs one figure
-//! alone the same way (for the tests and benches). Figure numbers follow
+//! alone the same way (for the tests). Figure numbers follow
 //! the paper:
 //!
 //! * [`tables`] — Tables 1 (latency components), 2 (event latencies),

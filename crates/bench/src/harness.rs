@@ -14,8 +14,8 @@ use dsm_types::{DsmError, Geometry, Topology};
 use crate::journal::SweepJournal;
 use crate::sweep::Jobs;
 
-/// The flags `reproduce`, `profile` and `throughput` accept — one usage
-/// text shared by all of them, printed under each binary's usage line.
+/// The flags `reproduce` and `profile` accept — one usage text shared by
+/// both, printed under each binary's usage line.
 pub const COMMON_FLAGS_USAGE: &str = "\
 common flags:
   --scale <f>  trace-length scale factor in (0, 1] (env DSM_SCALE; default 1.0)

@@ -10,16 +10,16 @@
 //! `--figures ''`) through one [`points::PointTable`], which simulates
 //! each distinct (system, workload) point once, and emits the data
 //! behind `EXPERIMENTS.md`. [`figures::Figure::run`] runs one figure the
-//! same way, for the tests and benches.
+//! same way, for the tests.
 //!
 //! Traces are generated **once per workload** and shared across all system
 //! configurations of a figure — the paper's methodology (every system sees
 //! the same reference stream).
 //!
 //! Trace lengths are controlled by a scale factor in `(0, 1]` (see
-//! `dsm_trace::Scale`), settable with `--scale <f>` on `reproduce`,
-//! `profile` and `throughput` (all three parse their flags with
-//! [`parse_run_args`]) or the `DSM_SCALE` environment variable; the
+//! `dsm_trace::Scale`), settable with `--scale <f>` on `reproduce` and
+//! `profile` (both parse their flags with [`parse_run_args`]) or the
+//! `DSM_SCALE` environment variable; the
 //! default is 1.0 (full-length traces, minutes of runtime in release
 //! mode).
 //!

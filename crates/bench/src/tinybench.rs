@@ -13,11 +13,7 @@
 //! sim_throughput/base           31.2 ms/iter   6.41 Melem/s
 //! ```
 
-use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-/// Re-exported so benches keep their `black_box` usage through one path.
-pub use std::hint::black_box as bb;
 
 /// Target wall-clock time per benchmark (all samples together).
 const TARGET: Duration = Duration::from_millis(600);
@@ -52,16 +48,6 @@ impl Tiny {
         }
     }
 
-    /// Builds a harness with no name filter — for binaries that own
-    /// their command line (whose flags must not be misread as filters).
-    #[must_use]
-    pub fn unfiltered() -> Self {
-        Tiny {
-            filter: Vec::new(),
-            group: String::new(),
-        }
-    }
-
     /// Sets a group prefix for subsequent benchmark names.
     pub fn group(&mut self, name: &str) {
         self.group = name.to_owned();
@@ -85,19 +71,12 @@ impl Tiny {
     }
 
     /// Benchmarks `f` which processes `elements` items per call, printing
-    /// time per iteration and element throughput.
-    pub fn bench_elements(&mut self, name: &str, elements: u64, f: impl FnMut()) {
-        self.bench_value(name, elements, f);
-    }
-
-    /// [`Tiny::bench_elements`], additionally returning the measured
-    /// element throughput in elements/second (the `throughput` binary
-    /// records it in `BENCH_perf.json`). Returns `None` when the
-    /// benchmark is filtered out or `elements` is zero.
-    pub fn bench_value(&mut self, name: &str, elements: u64, mut f: impl FnMut()) -> Option<f64> {
+    /// time per iteration and, when `elements` is non-zero, element
+    /// throughput.
+    pub fn bench_elements(&mut self, name: &str, elements: u64, mut f: impl FnMut()) {
         let full = self.full_name(name);
         if !self.selected(&full) {
-            return None;
+            return;
         }
         // Warm-up and iteration-count calibration: run once, then scale so
         // one sample takes roughly TARGET / SAMPLES.
@@ -122,10 +101,8 @@ impl Tiny {
         if elements > 0 {
             let eps = elements as f64 / (median * 1e-9);
             println!("{line}   {}", fmt_throughput(eps));
-            Some(eps)
         } else {
             println!("{line}");
-            None
         }
     }
 }
@@ -150,11 +127,6 @@ fn fmt_throughput(eps: f64) -> String {
     } else {
         format!("{eps:.0} elem/s")
     }
-}
-
-/// Runs `f` under `black_box` so the optimizer cannot elide its result.
-pub fn consume<T>(value: T) {
-    black_box(value);
 }
 
 #[cfg(test)]

@@ -205,7 +205,7 @@ fn killed_auto_sharded_sweep_resumes_to_byte_identical_output() {
 /// never a silently disarmed run.
 #[test]
 fn every_bench_binary_rejects_a_malformed_fault_plan() {
-    let runs: [(&str, &str, &[&str]); 3] = [
+    let runs: [(&str, &str, &[&str]); 2] = [
         (
             "reproduce",
             env!("CARGO_BIN_EXE_reproduce"),
@@ -215,11 +215,6 @@ fn every_bench_binary_rejects_a_malformed_fault_plan() {
             "profile",
             env!("CARGO_BIN_EXE_profile"),
             &["--workload", "lu", "--scale", "0.01", "--systems", "base"],
-        ),
-        (
-            "throughput",
-            env!("CARGO_BIN_EXE_throughput"),
-            &["--scale", "0.01"],
         ),
     ];
     for (name, exe, args) in runs {

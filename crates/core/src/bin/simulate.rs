@@ -52,7 +52,7 @@ struct Options {
     system: Option<SystemSpec>,
     workload: Option<WorkloadKind>,
     trace: Option<String>,
-    scale: f64,
+    scale: Option<f64>,
     dev: bool,
     check: Option<usize>,
     data_mb: Option<u64>,
@@ -67,7 +67,7 @@ fn parse_args() -> Result<Options, String> {
         system: None,
         workload: None,
         trace: None,
-        scale: 1.0,
+        scale: None,
         dev: false,
         check: None,
         data_mb: None,
@@ -86,7 +86,7 @@ fn parse_args() -> Result<Options, String> {
             "--system" => o.system = Some(text::parse(&val()?).map_err(|e| e.to_string())?),
             "--workload" => o.workload = Some(WorkloadKind::from_name(&val()?)?),
             "--trace" => o.trace = Some(val()?),
-            "--scale" => o.scale = num("--scale", &val()?)?,
+            "--scale" => o.scale = Some(num("--scale", &val()?)?),
             "--dev" => o.dev = true,
             "--check" => o.check = Some(num("--check", &val()?)?),
             "--data-mb" => o.data_mb = Some(num("--data-mb", &val()?)?),
@@ -111,6 +111,12 @@ fn parse_args() -> Result<Options, String> {
     }
     if o.mmap && o.trace.is_none() {
         return Err("--mmap requires --trace (generated workloads are heap-resident)".to_owned());
+    }
+    if o.data_mb.is_some() && o.trace.is_none() {
+        return Err("--data-mb requires --trace (a workload knows its data set)".to_owned());
+    }
+    if o.trace.is_some() && (o.scale.is_some() || o.dev) {
+        return Err("--scale and --dev require --workload (a trace is replayed whole)".to_owned());
     }
     if !o.stats && (o.epoch.is_some() || o.top.is_some()) {
         return Err("--epoch and --top require --stats".to_owned());
@@ -282,7 +288,7 @@ fn run(o: &Options) -> Result<(), DsmError> {
         return Err(DsmError::usage("--system is required"));
     };
     let (trace, data_bytes, name) = if let Some(kind) = o.workload {
-        let scale = Scale::new(o.scale).map_err(DsmError::from)?;
+        let scale = Scale::new(o.scale.unwrap_or(1.0)).map_err(DsmError::from)?;
         let w = if o.dev {
             kind.dev_instance()
         } else {

@@ -220,7 +220,7 @@ pub fn run_workload_on(
 /// # Errors
 ///
 /// As [`run_workload`], plus an error if the file backing a mapped trace
-/// has shrunk since it was opened (see [`revalidate`]).
+/// has shrunk since it was opened (checked again before the replay).
 pub fn run_trace(
     spec: &SystemSpec,
     workload_name: &str,

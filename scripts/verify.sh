@@ -82,9 +82,14 @@ fi
 
 echo "== cargo fmt --check =="
 cargo fmt --check
+# The A/B harness is a workspace of its own, which cargo fmt skips.
+rustfmt --check --edition 2021 scripts/ab/src/main.rs
 
 echo "== cargo clippy (all targets, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 if [[ $fast -eq 0 ]]; then
   echo "== cargo build --release =="

@@ -111,6 +111,24 @@ fn simulate_rejects_stats_flags_without_stats() {
 }
 
 #[test]
+fn simulate_rejects_flags_its_input_mode_does_not_read() {
+    for args in [
+        "--workload lu --dev --scale 0.02 --data-mb 1",
+        "--trace missing.dsmt --scale 0.5 --dev",
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_simulate"))
+            .args(["--system", "vb"])
+            .args(args.split(' '))
+            .output()
+            .expect("spawn simulate");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: simulate"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must not start work");
+    }
+}
+
+#[test]
 fn probe_does_not_perturb_any_system() {
     let (_topo, _geo, data_bytes, trace) = lu_trace();
     for spec in [SystemSpec::base(), SystemSpec::vb(), vxp_spec()] {
