@@ -133,7 +133,7 @@ fn run(flags: &Flags) -> Result<(), DsmError> {
     let mut ts = TraceSet::from_args(&flags.run);
     ts.set_tracer(Some(Arc::clone(&tracer)));
     let data_bytes = kind.paper_instance().shared_bytes();
-    let trace = ts.prepare(kind);
+    let trace = ts.prepare(kind)?;
     let (topo, geo) = (*trace.topology(), *trace.geometry());
 
     let mut runs: Vec<Json> = Vec::new();

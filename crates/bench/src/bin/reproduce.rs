@@ -49,7 +49,7 @@
 //!
 //! The table executes through the parallel sweep engine
 //! (`dsm_bench::sweep`) on `--jobs <n>` workers (default: all hardware
-//! threads; env `DSM_JOBS`); `--jobs 1` is the exact legacy serial path.
+//! threads); `--jobs 1` is the exact legacy serial path.
 //! Points are the unit of parallelism: each one replays its trace on a
 //! single thread. `--shard-workers 1` is still accepted, and ignored, so
 //! existing command lines keep working; any other value is a usage error.
@@ -276,7 +276,7 @@ fn run_instrumented(flags: &Flags) -> Result<(), DsmError> {
                     DsmError::bad_input(format!("cannot create {}: {e}", ev_path.display()))
                 })?);
                 let probe = Tee(StatsSink::new(), JsonlSink::new(file));
-                let (report, Tee(sink, jsonl)) = ts.run_probed(spec, kind, probe, flags.epoch);
+                let (report, Tee(sink, jsonl)) = ts.run_probed(spec, kind, probe, flags.epoch)?;
                 let lines = jsonl.lines();
                 jsonl
                     .finish()
@@ -287,7 +287,7 @@ fn run_instrumented(flags: &Flags) -> Result<(), DsmError> {
                 eprintln!("reproduce:   {} events -> {}", lines, ev_path.display());
                 (report, sink)
             } else {
-                ts.run_probed(spec, kind, StatsSink::new(), flags.epoch)
+                ts.run_probed(spec, kind, StatsSink::new(), flags.epoch)?
             };
             let path = out.join(format!("{stem}.json"));
             let json = Json::obj()
@@ -343,6 +343,13 @@ fn run_figures(flags: &Flags) -> Result<(), DsmError> {
         }
     }
 
+    // An unusable --out stops the run before the journal opens or
+    // anything prints, not after the whole sweep.
+    if let Some(out) = &flags.out {
+        std::fs::create_dir_all(out)
+            .map_err(|e| DsmError::bad_input(format!("cannot create {}: {e}", out.display())))?;
+    }
+
     let journal: Option<Arc<SweepJournal>> = match (&flags.journal, &flags.resume) {
         (Some(path), None) => Some(Arc::new(SweepJournal::create(path)?)),
         (None, Some(path)) => {
@@ -392,7 +399,7 @@ fn run_figures(flags: &Flags) -> Result<(), DsmError> {
     ts.enable_phase_stats(flags.phase_stats);
     ts.set_tracer(tracer.clone());
     let t_all = Instant::now();
-    let results = table.run(&mut ts, &kinds);
+    let results = table.run(&mut ts, &kinds)?;
     let table_s = t_all.elapsed().as_secs_f64();
     let loads = ts.load_times().to_vec();
     let replay_s = table_s - loads.iter().map(|(_, s)| s).sum::<f64>();
@@ -476,8 +483,6 @@ fn run_figures(flags: &Flags) -> Result<(), DsmError> {
 
     if let Some(out) = &flags.out {
         let t_write = Instant::now();
-        std::fs::create_dir_all(out)
-            .map_err(|e| DsmError::bad_input(format!("cannot create {}: {e}", out.display())))?;
         // The dataset: everything *but* wall clock, so any two runs at
         // one scale are byte-identical whatever the worker count.
         let path = out.join("reproduce_full.json");

@@ -38,7 +38,9 @@ mod tests {
         let base = {
             let specs = [SystemSpec::base()];
             let table = PointTable::new([specs.to_vec()]);
-            let results = table.run(&mut ts, &[WorkloadKind::Ocean]);
+            let results = table
+                .run(&mut ts, &[WorkloadKind::Ocean])
+                .expect("base table");
             let grid = table.project(&results, &specs).expect("base grid");
             (grid[0].1[0].read_miss_ratio + grid[0].1[0].write_miss_ratio) * 100.0
         };

@@ -55,7 +55,9 @@ mod tests {
         let mut ts = TraceSet::new(Scale::new(0.1).unwrap());
         let specs = [SystemSpec::origin()];
         let table = PointTable::new([specs.to_vec()]);
-        let results = table.run(&mut ts, &[WorkloadKind::Raytrace]);
+        let results = table
+            .run(&mut ts, &[WorkloadKind::Raytrace])
+            .expect("origin table");
         let grid = table.project(&results, &specs).expect("origin grid");
         let m = &grid[0].1[0].metrics;
         assert!(m.replications > 0, "{m:?}");

@@ -18,22 +18,16 @@ use crate::sweep::Jobs;
 /// both, printed under each binary's usage line.
 pub const COMMON_FLAGS_USAGE: &str = "\
 common flags:
-  --scale <f>  trace-length scale factor in (0, 1] (env DSM_SCALE; default 1.0)
-  --jobs <n>   sweep worker threads (env DSM_JOBS; default: available
-               parallelism; 1 = the serial legacy path). Simulated points
-               are the unit of parallelism: each replays on one thread
+  --scale <f>  trace-length scale factor in (0, 1] (default 1.0)
+  --jobs <n>   sweep worker threads (default: available parallelism;
+               1 = the serial legacy path). Simulated points are the
+               unit of parallelism: each replays on one thread
   --shard-workers 1  accepted for compatibility and ignored; intra-trace
                sharding was removed, so any other value is an error
   --mmap       replay traces through the zero-copy mmap loader:
                generated traces are spilled to a temp file and mapped
-               read-only instead of staying heap-resident (env DSM_MMAP;
-               results are byte-identical either way)
-  --fault-seed <n>  arm the deterministic fault-injection plane with the
-               plan derived from seed n (env DSM_FAULT_PLAN accepts a
-               seed or an explicit site spec: journal-io:<n>,
-               atomic-write-io:<n> or mmap-truncate; supervised recovery
-               keeps results byte-identical or fails with a structured
-               error — chaos testing only)";
+               read-only instead of staying heap-resident (results are
+               byte-identical either way)";
 
 /// The common CLI arguments of every experiment binary.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,20 +38,15 @@ pub struct RunArgs {
     pub jobs: Jobs,
     /// Load traces through the zero-copy mmap path.
     pub mmap: bool,
-    /// Fault-injection seed (`--fault-seed`): `Some` arms the plan
-    /// derived from the seed via [`dsm_core::fault`]. `None` leaves the
-    /// plane disarmed unless `DSM_FAULT_PLAN` is set.
-    pub fault_seed: Option<u64>,
 }
 
 /// Parses `argv` (without the program name), accepting `--scale <f>`,
-/// `--jobs <n>`, `--mmap` and `--fault-seed <n>`, plus `--shard-workers 1`
-/// as a no-op kept so existing command lines still run. Any other
-/// argument is first offered to `extra`, which
-/// returns how many argv items it consumed (`Ok(0)` = unrecognized).
-/// Unknown or malformed flags are an `Err` — nothing is silently
-/// swallowed. Missing values fall back to `DSM_SCALE` / `DSM_JOBS`, then
-/// to scale 1.0 / all available hardware threads.
+/// `--jobs <n>` and `--mmap`, plus `--shard-workers 1` as a no-op kept
+/// so existing command lines still run. Any other argument is first
+/// offered to `extra`, which returns how many argv items it consumed
+/// (`Ok(0)` = unrecognized). Unknown or malformed flags are an `Err` —
+/// nothing is silently swallowed. Missing values default to scale 1.0
+/// and all available hardware threads.
 ///
 /// # Errors
 ///
@@ -69,7 +58,6 @@ pub fn parse_argv(
     let mut scale: Option<f64> = None;
     let mut jobs: Option<usize> = None;
     let mut mmap = false;
-    let mut fault_seed: Option<u64> = None;
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
@@ -104,32 +92,10 @@ pub fn parse_argv(
                 mmap = true;
                 i += 1;
             }
-            "--fault-seed" => {
-                let v = argv
-                    .get(i + 1)
-                    .ok_or_else(|| "--fault-seed requires a value".to_owned())?;
-                fault_seed = Some(v.parse().map_err(|_| format!("bad fault seed '{v}'"))?);
-                i += 2;
-            }
             other => match extra(argv, i)? {
                 0 => return Err(format!("unknown flag '{other}'")),
                 n => i += n,
             },
-        }
-    }
-    if scale.is_none() {
-        if let Ok(v) = std::env::var("DSM_SCALE") {
-            scale = Some(v.parse().map_err(|_| format!("bad DSM_SCALE '{v}'"))?);
-        }
-    }
-    if jobs.is_none() {
-        if let Ok(v) = std::env::var("DSM_JOBS") {
-            jobs = Some(v.parse().map_err(|_| format!("bad DSM_JOBS '{v}'"))?);
-        }
-    }
-    if !mmap {
-        if let Ok(v) = std::env::var("DSM_MMAP") {
-            mmap = !v.is_empty() && v != "0";
         }
     }
     Ok(RunArgs {
@@ -139,29 +105,7 @@ pub fn parse_argv(
             None => Jobs::available(),
         },
         mmap,
-        fault_seed,
     })
-}
-
-/// Arms the process-wide fault plan from `args.fault_seed` (or, when no
-/// seed was given, from `DSM_FAULT_PLAN`). [`parse_run_args`] calls this
-/// once, right after flag parsing; with neither source set it is a no-op
-/// and the injection sites stay zero-cost.
-///
-/// # Errors
-///
-/// A malformed `DSM_FAULT_PLAN` spec is a usage error (exit code 2).
-fn install_fault_plan(args: &RunArgs) -> Result<(), DsmError> {
-    if let Some(seed) = args.fault_seed {
-        let plan = dsm_core::fault::FaultPlan::derive(seed);
-        dsm_core::fault::install(Some(plan));
-        eprintln!("fault plan armed: seed {seed} -> {}", plan.spec());
-        return Ok(());
-    }
-    if let Some(plan) = dsm_core::fault::install_from_env()? {
-        eprintln!("fault plan armed: {}", plan.spec());
-    }
-    Ok(())
 }
 
 /// Prints `error: <msg>`, the binary's usage line, and the shared flag
@@ -181,21 +125,15 @@ pub fn report_failure(e: &DsmError) -> std::process::ExitCode {
 
 /// The one command-line parser of the experiment binaries: parses the
 /// process arguments with [`parse_argv`] (the common flags, then the
-/// binary's own through `extra`) and arms the fault plan from
-/// `--fault-seed` or `DSM_FAULT_PLAN`. Any error, a malformed plan
-/// included, prints `usage_line` with the shared flag reference and exits
-/// with status 2.
+/// binary's own through `extra`). Any error prints `usage_line` with the
+/// shared flag reference and exits with status 2.
 #[must_use]
 pub fn parse_run_args(
     usage_line: &str,
     extra: impl FnMut(&[String], usize) -> Result<usize, String>,
 ) -> RunArgs {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_argv(&argv, extra).unwrap_or_else(|msg| usage_exit(usage_line, &msg));
-    if let Err(e) = install_fault_plan(&args) {
-        usage_exit(usage_line, e.message());
-    }
-    args
+    parse_argv(&argv, extra).unwrap_or_else(|msg| usage_exit(usage_line, &msg))
 }
 
 /// A cache of generated traces, one per workload, shared by every system
@@ -204,8 +142,7 @@ pub fn parse_run_args(
 /// The set also carries the sweep-engine worker count ([`Jobs`]): every
 /// [`crate::PointTable`] run on this set executes its points on that
 /// many workers, all reading the same immutable trace. Generation happens
-/// in [`TraceSet::prepare`] (or lazily in [`TraceSet::run`]) — never
-/// inside the parallel region.
+/// in [`TraceSet::prepare`] — never inside the parallel region.
 pub struct TraceSet {
     topo: Topology,
     geo: Geometry,
@@ -381,7 +318,12 @@ impl TraceSet {
     /// the trace is immutable and [`TraceSet::run_prepared`] can run on
     /// `&self` from any number of threads. Under [`TraceSet::set_mmap`]
     /// the returned trace replays from a kernel mapping.
-    pub fn prepare(&mut self, kind: WorkloadKind) -> &SharedTrace {
+    ///
+    /// # Errors
+    ///
+    /// Under [`TraceSet::set_mmap`], an internal [`DsmError`] naming the
+    /// temp file if the trace cannot be spilled to it or mapped back.
+    pub fn prepare(&mut self, kind: WorkloadKind) -> Result<&SharedTrace, DsmError> {
         if !self.traces.contains_key(&kind) {
             let t0 = std::time::Instant::now();
             let mut span = self.tracer.as_deref().map(|t| {
@@ -395,12 +337,12 @@ impl TraceSet {
             }
             let mut trace = SharedTrace::from_refs(self.topo, self.geo, &refs);
             if self.mmap {
-                trace = spill_and_map(kind, &trace);
+                trace = spill_and_map(kind, &trace)?;
             }
             self.traces.insert(kind, (w.shared_bytes(), trace));
             self.load_times.push((kind, t0.elapsed().as_secs_f64()));
         }
-        &self.traces[&kind].1
+        Ok(&self.traces[&kind].1)
     }
 
     /// Every trace generation so far: the workload and its wall seconds,
@@ -409,16 +351,6 @@ impl TraceSet {
     #[must_use]
     pub fn load_times(&self) -> &[(WorkloadKind, f64)] {
         &self.load_times
-    }
-
-    /// Runs `spec` on `kind`'s cached trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the system spec is invalid for this workload.
-    pub fn run(&mut self, spec: &SystemSpec, kind: WorkloadKind) -> Report {
-        self.prepare(kind);
-        self.run_prepared(spec, kind)
     }
 
     /// Runs `spec` on `kind`'s already-generated trace, without mutating
@@ -476,17 +408,18 @@ impl TraceSet {
     /// returning the probe (with its collected events/epochs) next to the
     /// report. `epoch_window` enables epoch sampling.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the system spec is invalid for this workload.
+    /// As [`TraceSet::prepare`], or a bad-input [`DsmError`] if the
+    /// system spec is invalid for this workload.
     pub fn run_probed<P: Probe>(
         &mut self,
         spec: &SystemSpec,
         kind: WorkloadKind,
         probe: P,
         epoch_window: Option<u64>,
-    ) -> (Report, P) {
-        self.prepare(kind);
+    ) -> Result<(Report, P), DsmError> {
+        self.prepare(kind)?;
         let (data_bytes, trace) = &self.traces[&kind];
         run_trace_probed(
             spec,
@@ -496,7 +429,7 @@ impl TraceSet {
             probe,
             epoch_window,
         )
-        .unwrap_or_else(|e| panic!("{}/{kind}: {e}", spec.name))
+        .map_err(|e| DsmError::from(e).context(format!("{}/{kind}", spec.name)))
     }
 
     /// Drops `kind`'s cached trace (frees memory between figures).
@@ -511,23 +444,28 @@ impl TraceSet {
 /// is unlinked immediately — success or failure — because the mapping
 /// keeps the pages alive without the directory entry.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the spill or re-open fails: an `--mmap` run that silently
-/// fell back to heap storage would misreport what was measured.
-fn spill_and_map(kind: WorkloadKind, trace: &SharedTrace) -> SharedTrace {
+/// An internal [`DsmError`] naming the temp file if the spill or re-open
+/// fails. There is no fallback to heap storage: an `--mmap` run that
+/// silently replayed from the heap would misreport what was measured.
+fn spill_and_map(kind: WorkloadKind, trace: &SharedTrace) -> Result<SharedTrace, DsmError> {
     use std::io::Write as _;
     let path = std::env::temp_dir().join(format!("dsm-bench-{}-{kind}.dsmt", std::process::id()));
     let spilled = (|| -> Result<SharedTrace, String> {
-        let file =
-            std::fs::File::create(&path).map_err(|e| format!("create {}: {e}", path.display()))?;
+        let file = std::fs::File::create(&path).map_err(|e| e.to_string())?;
         let mut w = std::io::BufWriter::new(file);
         write_shared(&mut w, trace).map_err(|e| e.to_string())?;
         w.flush().map_err(|e| e.to_string())?;
         open_shared_mapped(&path).map_err(|e| e.to_string())
     })();
     let _ = std::fs::remove_file(&path);
-    spilled.unwrap_or_else(|e| panic!("--mmap trace spill for {kind}: {e}"))
+    spilled.map_err(|e| {
+        DsmError::internal(format!(
+            "--mmap trace spill for {kind} to {}: {e}",
+            path.display()
+        ))
+    })
 }
 
 /// A printable figure: a caption, column headers, and one row per
@@ -806,14 +744,14 @@ mod tests {
     #[test]
     fn mmap_trace_set_runs_match_owned_runs() {
         let mut owned = TraceSet::with_jobs(Scale::new(0.5).unwrap(), Jobs::serial());
-        assert!(!owned.prepare(WorkloadKind::Lu).is_mapped());
-        let baseline = owned.run(&SystemSpec::vb(), WorkloadKind::Lu);
+        assert!(!owned.prepare(WorkloadKind::Lu).unwrap().is_mapped());
+        let baseline = owned.run_prepared(&SystemSpec::vb(), WorkloadKind::Lu);
         let mut mapped = TraceSet::with_jobs(Scale::new(0.5).unwrap(), Jobs::serial());
         mapped.set_mmap(true);
         assert!(mapped.mmap());
         // The prepared trace replays from the kernel mapping, not the heap.
-        assert!(mapped.prepare(WorkloadKind::Lu).is_mapped());
-        let spilled = mapped.run(&SystemSpec::vb(), WorkloadKind::Lu);
+        assert!(mapped.prepare(WorkloadKind::Lu).unwrap().is_mapped());
+        let spilled = mapped.run_prepared(&SystemSpec::vb(), WorkloadKind::Lu);
         assert_eq!(baseline, spilled);
     }
 
@@ -837,8 +775,9 @@ mod tests {
     fn trace_set_shares_traces() {
         let mut ts = TraceSet::new(Scale::new(0.5).unwrap());
         // Use the smallest workload for speed.
-        let r1 = ts.run(&SystemSpec::base(), WorkloadKind::Lu);
-        let r2 = ts.run(&SystemSpec::vb(), WorkloadKind::Lu);
+        ts.prepare(WorkloadKind::Lu).unwrap();
+        let r1 = ts.run_prepared(&SystemSpec::base(), WorkloadKind::Lu);
+        let r2 = ts.run_prepared(&SystemSpec::vb(), WorkloadKind::Lu);
         assert_eq!(r1.refs, r2.refs);
         ts.evict(WorkloadKind::Lu);
     }

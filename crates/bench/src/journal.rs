@@ -199,10 +199,10 @@ impl SweepJournal {
         );
     }
 
-    /// Writes one entry under the mutex. Transient failures (`EINTR`,
-    /// injected or real) get a bounded retry-with-backoff first; a
-    /// persistent failure disables the journal (sticky, counted) with a
-    /// warning instead of failing the sweep.
+    /// Writes one entry under the mutex. A failed write disables the
+    /// journal (sticky, counted) with a warning instead of failing the
+    /// sweep. `writeln!` and `sync_data` already retry `EINTR`, so there
+    /// is nothing transient left to retry here.
     fn append(&self, entry: &Json) {
         let line = entry.render();
         let mut inner = self.lock();
@@ -210,11 +210,7 @@ impl SweepJournal {
             inner.disabled_appends += 1;
             return;
         };
-        let result =
-            dsm_core::fault::retry_transient(dsm_core::fault::FaultSite::JournalIo, || {
-                writeln!(file, "{line}").and_then(|()| file.sync_data())
-            });
-        if let Err(e) = result {
+        if let Err(e) = writeln!(file, "{line}").and_then(|()| file.sync_data()) {
             eprintln!(
                 "warning: journal {} failed ({e}); journaling disabled for the rest of the run",
                 inner.path.display()
@@ -230,9 +226,6 @@ mod tests {
     use super::*;
     use dsm_core::SystemSpec;
     use dsm_trace::WorkloadKind;
-
-    // Every test that appends holds `test_lock`: an append in one test
-    // would otherwise consume the faults another test injects.
 
     fn tmp_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dsm-journal-{}-{name}", std::process::id()));
@@ -271,7 +264,6 @@ mod tests {
 
     #[test]
     fn journal_round_trips_completed_points() {
-        let _guard = dsm_core::fault::test_lock();
         let path = tmp_path("roundtrip");
         let j = SweepJournal::create(&path).expect("create");
         let r = sample_report("base");
@@ -297,7 +289,6 @@ mod tests {
 
     #[test]
     fn entries_from_another_scale_do_not_match() {
-        let _guard = dsm_core::fault::test_lock();
         let path = tmp_path("scale");
         let j = SweepJournal::create(&path).expect("create");
         j.record_ok(&point(SystemSpec::nc()), scale(), &sample_report("nc"), 0.1);
@@ -353,7 +344,6 @@ mod tests {
 
     #[test]
     fn torn_tail_is_ignored_and_failures_are_retried() {
-        let _guard = dsm_core::fault::test_lock();
         let path = tmp_path("torn");
         let j = SweepJournal::create(&path).expect("create");
         j.record_ok(
@@ -386,60 +376,9 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn transient_injected_failures_are_retried_not_sticky() {
-        let _guard = dsm_core::fault::test_lock();
-        let path = tmp_path("transient");
-        let j = SweepJournal::create(&path).expect("create");
-        // Two injected EINTRs fit the three-attempt retry budget: the
-        // append lands and journaling stays enabled.
-        dsm_core::fault::install(Some(
-            dsm_core::fault::FaultPlan::from_spec("journal-io:2").unwrap(),
-        ));
-        j.record_ok(
-            &point(SystemSpec::base()),
-            scale(),
-            &sample_report("base"),
-            0.1,
-        );
-        dsm_core::fault::install(None);
-        assert_eq!(j.disabled_points(), 0);
-        drop(j);
-        let j = SweepJournal::resume(&path).expect("resume");
-        assert_eq!(j.resumed_points(), 1, "retried append is durable");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn exhausted_injection_budget_disables_and_counts() {
-        let _guard = dsm_core::fault::test_lock();
-        let path = tmp_path("sticky");
-        let j = SweepJournal::create(&path).expect("create");
-        // Four failures outlast the three attempts: sticky disable.
-        dsm_core::fault::install(Some(
-            dsm_core::fault::FaultPlan::from_spec("journal-io:4").unwrap(),
-        ));
-        j.record_ok(
-            &point(SystemSpec::base()),
-            scale(),
-            &sample_report("base"),
-            0.1,
-        );
-        dsm_core::fault::install(None);
-        assert_eq!(j.disabled_points(), 1, "the failed append is counted");
-        j.record_ok(&point(SystemSpec::vb()), scale(), &sample_report("vb"), 0.1);
-        j.record_ok(&point(SystemSpec::nc()), scale(), &sample_report("nc"), 0.1);
-        assert_eq!(j.disabled_points(), 3, "skipped appends count too");
-        drop(j);
-        let j = SweepJournal::resume(&path).expect("resume");
-        assert_eq!(j.resumed_points(), 0, "nothing was durably recorded");
-        std::fs::remove_file(&path).ok();
-    }
-
     #[cfg(target_os = "linux")]
     #[test]
     fn real_enospc_disables_without_retry_loops() {
-        let _guard = dsm_core::fault::test_lock();
         // /dev/full fails every write with ENOSPC — a non-transient
         // error that must go straight to the sticky disable.
         let Ok(file) = OpenOptions::new().append(true).open("/dev/full") else {

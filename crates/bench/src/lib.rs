@@ -17,9 +17,8 @@
 //! the same reference stream).
 //!
 //! Trace lengths are controlled by a scale factor in `(0, 1]` (see
-//! `dsm_trace::Scale`), settable with `--scale <f>` on `reproduce` and
-//! `profile` (both parse their flags with [`parse_run_args`]) or the
-//! `DSM_SCALE` environment variable; the
+//! `dsm_trace::Scale`), set with `--scale <f>` on `reproduce` and
+//! `profile` (both parse their flags with [`parse_run_args`]); the
 //! default is 1.0 (full-length traces, minutes of runtime in release
 //! mode).
 //!
@@ -27,8 +26,8 @@
 //! workload) point of the table is enumerated as a [`sweep::SweepPoint`]
 //! and run on a scoped-thread worker pool sharing the workload's
 //! immutable trace, with results returned in submission order so the
-//! output is byte-identical to a serial run. `--jobs <n>` (or `DSM_JOBS`)
-//! sizes the pool; `--jobs 1` is the exact legacy serial path.
+//! output is byte-identical to a serial run. `--jobs <n>` sizes the
+//! pool; `--jobs 1` is the exact legacy serial path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

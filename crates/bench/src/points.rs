@@ -110,7 +110,11 @@ impl PointTable {
     /// is the serial run's by the engine's submission-order guarantee. A
     /// failed point never aborts the others: they keep running, and keep
     /// journaling if a journal is attached.
-    pub fn run(&self, ts: &mut TraceSet, kinds: &[WorkloadKind]) -> TableResults {
+    ///
+    /// # Errors
+    ///
+    /// As [`run_sweep`]: a trace that cannot be prepared stops the table.
+    pub fn run(&self, ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<TableResults, DsmError> {
         let jobs = ts.jobs();
         kinds
             .iter()
@@ -120,9 +124,9 @@ impl PointTable {
                     .iter()
                     .map(|s| SweepPoint::new(s.clone(), kind))
                     .collect();
-                let outcomes = run_sweep(ts, &points, jobs);
+                let outcomes = run_sweep(ts, &points, jobs)?;
                 ts.evict(kind);
-                (kind, outcomes)
+                Ok((kind, outcomes))
             })
             .collect()
     }
@@ -175,12 +179,13 @@ impl Figure {
     ///
     /// # Errors
     ///
-    /// The whole grid is always attempted. If any point failed, a
-    /// [`DsmError`] listing every failure with its repro line.
+    /// As [`PointTable::run`]. Otherwise the whole grid is always
+    /// attempted, and if any point failed, a [`DsmError`] listing every
+    /// failure with its repro line.
     pub fn run(&self, ts: &mut TraceSet, kinds: &[WorkloadKind]) -> Result<FigureTable, DsmError> {
         let specs = (self.specs)();
         let table = PointTable::new([specs.clone()]);
-        let results = table.run(ts, kinds);
+        let results = table.run(ts, kinds)?;
         Ok((self.table)(&table.project(&results, &specs)?))
     }
 }

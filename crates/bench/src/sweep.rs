@@ -34,6 +34,7 @@ use dsm_core::obs::span::Lane;
 use dsm_core::obs::Json;
 use dsm_core::{Report, SystemSpec};
 use dsm_trace::{Scale, WorkloadKind};
+use dsm_types::DsmError;
 
 use crate::harness::TraceSet;
 
@@ -60,8 +61,8 @@ impl Jobs {
         Jobs(1)
     }
 
-    /// One worker per available hardware thread (the default when neither
-    /// `--jobs` nor `DSM_JOBS` is given).
+    /// One worker per available hardware thread (the default when
+    /// `--jobs` is not given).
     #[must_use]
     pub fn available() -> Self {
         Jobs(
@@ -272,10 +273,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Fresh results are appended to the journal, durably, before the
 /// outcome is returned.
 ///
-/// Fault injection for the crash-safety tests: if `DSM_FAULT_POINT`
-/// names this point's label the point panics (exercising the captured-
-/// failure path), and if `DSM_FAULT_ABORT` names it the whole process
-/// aborts (exercising kill-and-resume).
+/// For the kill-and-resume tests: if `DSM_FAULT_ABORT` names this
+/// point's label the whole process aborts before the point runs.
 fn run_point(
     ts: &TraceSet,
     point: &SweepPoint,
@@ -301,9 +300,6 @@ fn run_point(
         .map(|(t, lane)| t.span(lane, point.label.clone()));
     let t0 = Instant::now();
     let result = catch_unwind(AssertUnwindSafe(|| {
-        if std::env::var("DSM_FAULT_POINT").as_deref() == Ok(point.label.as_str()) {
-            panic!("injected fault (DSM_FAULT_POINT) at {}", point.label);
-        }
         if ts.phase_stats() {
             let (report, counters) = ts.run_prepared_profiled(&point.spec, point.workload);
             (report, Some(counters))
@@ -349,11 +345,21 @@ fn run_point(
 /// serially, before any worker starts (`ts` is then only read). With
 /// `jobs == 1` the calling thread runs the points in order and no threads
 /// are spawned — the exact legacy path.
-pub fn run_sweep(ts: &mut TraceSet, points: &[SweepPoint], jobs: Jobs) -> Vec<SweepOutcome> {
+///
+/// # Errors
+///
+/// As [`TraceSet::prepare`]: a trace that cannot be prepared fails the
+/// whole sweep before any point runs. A failed point is an outcome, not
+/// an error.
+pub fn run_sweep(
+    ts: &mut TraceSet,
+    points: &[SweepPoint],
+    jobs: Jobs,
+) -> Result<Vec<SweepOutcome>, DsmError> {
     // Hoist trace generation out of the parallel region: generate once,
     // then the set is immutable and shared by reference.
     for p in points {
-        ts.prepare(p.workload);
+        ts.prepare(p.workload)?;
     }
     let ts: &TraceSet = ts;
     let progress = Progress::new(ts.progress(), points.len());
@@ -362,10 +368,10 @@ pub fn run_sweep(ts: &mut TraceSet, points: &[SweepPoint], jobs: Jobs) -> Vec<Sw
         // The serial path runs on the calling thread: its spans share the
         // "main" lane with trace loading.
         let lane = ts.tracer().map(|t| t.lane("main"));
-        return points
+        return Ok(points
             .iter()
             .map(|p| run_point(ts, p, &progress, lane))
-            .collect();
+            .collect());
     }
 
     let next = AtomicUsize::new(0);
@@ -401,7 +407,7 @@ pub fn run_sweep(ts: &mut TraceSet, points: &[SweepPoint], jobs: Jobs) -> Vec<Sw
             });
         }
     });
-    slots
+    Ok(slots
         .into_iter()
         .zip(points)
         .map(|(slot, point)| {
@@ -421,7 +427,7 @@ pub fn run_sweep(ts: &mut TraceSet, points: &[SweepPoint], jobs: Jobs) -> Vec<Sw
                 wall_s: 0.0,
             })
         })
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -458,7 +464,7 @@ mod tests {
         .map(|s| SweepPoint::new(s, WorkloadKind::Lu))
         .collect();
         let labels: Vec<String> = points.iter().map(|p| p.label.clone()).collect();
-        let outcomes = run_sweep(&mut ts, &points, Jobs::new(4).unwrap());
+        let outcomes = run_sweep(&mut ts, &points, Jobs::new(4).unwrap()).unwrap();
         let got: Vec<String> = outcomes.iter().map(|o| o.label.clone()).collect();
         assert_eq!(got, labels);
         for o in &outcomes {
@@ -479,7 +485,7 @@ mod tests {
             SweepPoint::new(bad, WorkloadKind::Lu),
             SweepPoint::new(SystemSpec::vb(), WorkloadKind::Lu),
         ];
-        let outcomes = run_sweep(&mut ts, &points, Jobs::new(4).unwrap());
+        let outcomes = run_sweep(&mut ts, &points, Jobs::new(4).unwrap()).unwrap();
         assert_eq!(outcomes.len(), 3);
         assert!(outcomes[0].result.is_ok());
         assert!(outcomes[2].result.is_ok(), "sweep aborted after a panic");
@@ -573,32 +579,13 @@ mod tests {
     }
 
     #[test]
-    fn injected_fault_point_becomes_failed_row() {
-        let mut ts = small_ts();
-        // A label unique to this test, so the env var cannot trip a
-        // concurrently running sibling test's sweep.
-        let mut target = SystemSpec::vb();
-        target.name = "fault-target".into();
-        let points = vec![
-            SweepPoint::new(SystemSpec::base(), WorkloadKind::Lu),
-            SweepPoint::new(target, WorkloadKind::Lu),
-        ];
-        std::env::set_var("DSM_FAULT_POINT", "fault-target/LU");
-        let outcomes = run_sweep(&mut ts, &points, Jobs::serial());
-        std::env::remove_var("DSM_FAULT_POINT");
-        assert!(outcomes[0].result.is_ok());
-        let err = outcomes[1].result.as_ref().unwrap_err();
-        assert!(err.message.contains("injected fault"), "{err}");
-    }
-
-    #[test]
     fn serial_and_parallel_reports_are_identical() {
         let points: Vec<SweepPoint> = [SystemSpec::base(), SystemSpec::vb(), SystemSpec::nc()]
             .into_iter()
             .map(|s| SweepPoint::new(s, WorkloadKind::Lu))
             .collect();
-        let serial = run_sweep(&mut small_ts(), &points, Jobs::serial());
-        let parallel = run_sweep(&mut small_ts(), &points, Jobs::new(3).unwrap());
+        let serial = run_sweep(&mut small_ts(), &points, Jobs::serial()).unwrap();
+        let parallel = run_sweep(&mut small_ts(), &points, Jobs::new(3).unwrap()).unwrap();
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.label, b.label);
             // Report equality ignores wall time by design.

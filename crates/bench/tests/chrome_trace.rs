@@ -125,7 +125,7 @@ fn parallel_sweep_trace_has_one_lane_per_worker_and_nests() {
     let jobs = Jobs::new(2).expect("2 workers");
     let mut ts = traced_ts(jobs, &tracer);
     let pts = points();
-    let outcomes = run_sweep(&mut ts, &pts, jobs);
+    let outcomes = run_sweep(&mut ts, &pts, jobs).expect("traces prepare");
     assert!(outcomes.iter().all(|o| o.result.is_ok()));
 
     let rendered = tracer.to_chrome_json().render();
@@ -179,7 +179,7 @@ fn serial_sweep_trace_stays_on_the_main_lane() {
     let tracer = Arc::new(SpanTracer::new());
     let mut ts = traced_ts(Jobs::serial(), &tracer);
     let pts = points();
-    let outcomes = run_sweep(&mut ts, &pts, Jobs::serial());
+    let outcomes = run_sweep(&mut ts, &pts, Jobs::serial()).expect("traces prepare");
     assert!(outcomes.iter().all(|o| o.result.is_ok()));
 
     let rendered = tracer.to_chrome_json().render();

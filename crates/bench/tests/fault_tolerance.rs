@@ -4,8 +4,13 @@
 //! byte-identical to an uninterrupted run — same figures, same f64 bits,
 //! whatever the worker count. Wall-clock timings are deliberately outside
 //! the comparison (they live in `timings.json`, not the dataset).
+//!
+//! The other recovery paths are checked with the real failure each one
+//! exists for: a journal on a full device, a dataset whose temp file
+//! cannot be created, a trace spill into a temp directory that is not a
+//! directory, and an `--out` that is a file.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 /// The 6th of fig3's nine LU sweep points: by the time a 2-worker sweep
@@ -29,6 +34,14 @@ fn read_dataset(dir: &Path) -> Vec<u8> {
     std::fs::read(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
+/// A fresh temp directory; `tag` keeps concurrently running tests apart.
+fn scratch_dir(tag: &str) -> PathBuf {
+    let tmp = std::env::temp_dir().join(format!("dsm-fault-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
+    std::fs::create_dir_all(&tmp).expect("create temp dir");
+    tmp
+}
+
 /// The full kill-and-resume cycle under `base` flags: an uninterrupted
 /// reference run, a journaled run killed at [`ABORT_AT`], and a resume
 /// that must merge to a byte-identical dataset. A non-empty
@@ -36,9 +49,7 @@ fn read_dataset(dir: &Path) -> Vec<u8> {
 /// must be a usage error that leaves the journal and output untouched.
 /// `tag` isolates the temp tree so the variants can run concurrently.
 fn kill_and_resume_cycle(tag: &str, base: &[&str], rejected_resume: &[&str]) {
-    let tmp = std::env::temp_dir().join(format!("dsm-fault-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&tmp);
-    std::fs::create_dir_all(&tmp).expect("create temp dir");
+    let tmp = scratch_dir(tag);
     let dir_straight = tmp.join("straight");
     let dir_resumed = tmp.join("resumed");
     let journal = tmp.join("sweep.jsonl");
@@ -199,38 +210,128 @@ fn killed_auto_sharded_sweep_resumes_to_byte_identical_output() {
     );
 }
 
-/// Every experiment binary parses its flags through
-/// `dsm_bench::parse_run_args`, which arms the fault plan: a malformed
-/// `DSM_FAULT_PLAN` is a usage error (exit 2) before any work starts,
-/// never a silently disarmed run.
+/// A journal whose every write fails (`/dev/full` gives ENOSPC) disables
+/// itself and counts the points it lost, and the run completes with the
+/// output of an unjournaled run.
+#[cfg(target_os = "linux")]
 #[test]
-fn every_bench_binary_rejects_a_malformed_fault_plan() {
-    let runs: [(&str, &str, &[&str]); 2] = [
-        (
-            "reproduce",
-            env!("CARGO_BIN_EXE_reproduce"),
-            &["--figures", ""],
-        ),
-        (
-            "profile",
-            env!("CARGO_BIN_EXE_profile"),
-            &["--workload", "lu", "--scale", "0.01", "--systems", "base"],
-        ),
-    ];
-    for (name, exe, args) in runs {
-        let out = Command::new(exe)
-            .args(args)
-            .env("DSM_FAULT_PLAN", "garbage")
-            .output()
-            .unwrap_or_else(|e| panic!("spawn {name}: {e}"));
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{name}:\n{stderr}");
-        assert!(
-            stderr.contains(&format!("usage: {name}")),
-            "{name}:\n{stderr}"
-        );
-        assert!(out.stdout.is_empty(), "{name} must not start work");
+fn journal_on_a_full_device_is_disabled_and_counted() {
+    if !Path::new("/dev/full").exists() {
+        return; // container without /dev/full
     }
+    let tmp = scratch_dir("dev-full");
+    let (plain, full) = (tmp.join("plain"), tmp.join("full"));
+    let base = ["--workloads", "lu", "--jobs", "2"];
+    let straight = reproduce(&base, &["--out", plain.to_str().expect("utf-8")], None);
+    assert!(
+        straight.status.success(),
+        "unjournaled run failed:\n{}",
+        String::from_utf8_lossy(&straight.stderr)
+    );
+    let out = reproduce(
+        &base,
+        &[
+            "--out",
+            full.to_str().expect("utf-8"),
+            "--journal",
+            "/dev/full",
+        ],
+        None,
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "journaled run failed:\n{stderr}");
+    assert!(
+        stderr.contains("journaling was disabled"),
+        "losing the journal must be reported:\n{stderr}"
+    );
+    assert_eq!(out.stdout, straight.stdout, "stdout diverged");
+    assert_eq!(
+        read_dataset(&full),
+        read_dataset(&plain),
+        "dataset diverged"
+    );
+    let timings = std::fs::read_to_string(full.join("timings.json")).expect("timings.json");
+    assert!(
+        timings.contains("\"journal_disabled_points\":9"),
+        "all nine fig3 points were lost to the journal:\n{timings}"
+    );
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
+/// A dataset write that fails (its temp file's path is taken by a
+/// directory) is an internal error, and the previous dataset survives
+/// whole: the rename over it never runs.
+#[test]
+fn failed_dataset_write_exits_4_and_keeps_the_old_dataset() {
+    let tmp = scratch_dir("atomic-write");
+    let old = b"{\"figures\":[]}\n";
+    std::fs::write(tmp.join("reproduce_full.json"), old).expect("old dataset");
+    std::fs::create_dir(tmp.join("reproduce_full.json.tmp")).expect("blocking dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["--figures", "", "--out"])
+        .arg(&tmp)
+        .output()
+        .expect("spawn reproduce");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(stderr.contains("cannot write"), "{stderr}");
+    assert_eq!(read_dataset(&tmp), old, "the old dataset must stay intact");
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
+/// An `--mmap` run whose trace cannot be spilled (`TMPDIR` names a
+/// regular file) stops with an internal error naming the temp path,
+/// not a panic, and writes no dataset. It never falls back to the heap.
+#[cfg(unix)]
+#[test]
+fn failed_mmap_spill_exits_4_without_panicking() {
+    let tmp = scratch_dir("spill");
+    let not_a_dir = tmp.join("tmpdir");
+    std::fs::write(&not_a_dir, b"").expect("create file");
+    let out_dir = tmp.join("out");
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["--mmap", "--figures", "fig4", "--workloads", "lu"])
+        .args(["--scale", "0.02", "--jobs", "1", "--out"])
+        .arg(&out_dir)
+        .env("TMPDIR", &not_a_dir)
+        .output()
+        .expect("spawn reproduce");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        stderr.contains(not_a_dir.to_str().expect("utf-8")),
+        "the error must name the temp path:\n{stderr}"
+    );
+    assert!(!out_dir.join("reproduce_full.json").exists());
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
+/// An `--out` that cannot be a directory is bad input, found before
+/// Tables 1-3 print and before any point is simulated.
+#[test]
+fn unusable_out_dir_fails_before_anything_prints() {
+    let tmp = scratch_dir("out-file");
+    let file = tmp.join("f");
+    std::fs::write(&file, b"").expect("create file");
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args([
+            "--figures",
+            "fig4",
+            "--workloads",
+            "lu",
+            "--scale",
+            "0.02",
+            "--out",
+        ])
+        .arg(&file)
+        .output()
+        .expect("spawn reproduce");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains("cannot create"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing may print before the check");
+    std::fs::remove_dir_all(&tmp).ok();
 }
 
 /// The instrumented form (`--epoch`/`--trace-events`) reads none of the

@@ -86,7 +86,9 @@ fn figures_projected_from_the_point_table_match_their_own_runs() {
     ];
     let kinds = [WorkloadKind::Lu];
     let table = PointTable::new(FIGURES.iter().map(|f| (f.specs)()));
-    let results = table.run(&mut TraceSet::new(scale()), &kinds);
+    let results = table
+        .run(&mut TraceSet::new(scale()), &kinds)
+        .expect("point table");
     assert_eq!(FIGURES.len(), keys.len());
     for (fig, key) in FIGURES.iter().zip(keys) {
         assert_eq!(fig.key, key, "figure order");

@@ -39,10 +39,7 @@ fn usage() -> ExitCode {
          spec: <family>[:<field>=<value>]..., e.g. ncp:pc=1/16:threshold=fixed32\n\
          {}\n\
          checking: --check <K> (validate coherence invariants every K references)\n\
-         observability: --stats [--top <k>] [--epoch <refs>]\n\
-         chaos: env DSM_FAULT_PLAN=<seed|spec> arms deterministic fault injection; of the\n\
-         \x20      three I/O sites only mmap-truncate (--trace --mmap) fires here, and it\n\
-         \x20      fails structurally with an error exit code, never a crash",
+         observability: --stats [--top <k>] [--epoch <refs>]",
         text::usage()
     );
     ExitCode::from(2)
@@ -359,14 +356,6 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    match dsm_core::fault::install_from_env() {
-        Ok(Some(plan)) => eprintln!("fault plan armed: {}", plan.spec()),
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("error: {e}");
-            return usage();
-        }
-    }
     match run(&o) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

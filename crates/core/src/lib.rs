@@ -83,7 +83,6 @@
 pub mod check;
 pub mod cluster;
 pub mod config;
-pub mod fault;
 pub mod metrics;
 pub mod model;
 pub mod nc;
@@ -99,7 +98,6 @@ pub use config::{
     CacheSpec, CounterSource, DirectorySpec, MigRepSpec, NcSpec, PcSize, PcSpec, SystemSpec,
     ThresholdPolicy,
 };
-pub use fault::{FaultPlan, FaultSite};
 pub use metrics::Metrics;
 pub use model::{Latencies, LatencyModel, NcTechnology};
 pub use phase::{LogHistogram, Phase, PhaseCounters, PhaseProfiler, PHASES};

@@ -37,10 +37,6 @@ pub use json::Json;
 /// target. A crash mid-write leaves either the old file or the new one —
 /// never a truncated half-document.
 ///
-/// Transient failures (`EINTR`-class, injected or real) are retried a
-/// bounded number of times with backoff ([`crate::fault::retry_transient`])
-/// before surfacing.
-///
 /// # Errors
 ///
 /// Returns a [`DsmError`] naming the path on any I/O failure; the
@@ -70,7 +66,7 @@ pub fn write_json_atomic(path: &Path, json: &Json) -> Result<(), DsmError> {
             .map_err(io::IntoInnerError::into_error)?
             .sync_data()
     };
-    if let Err(e) = crate::fault::retry_transient(crate::fault::FaultSite::AtomicWriteIo, write) {
+    if let Err(e) = write() {
         let _ = std::fs::remove_file(&tmp);
         return Err(io_err("write", e));
     }
@@ -462,32 +458,25 @@ mod tests {
     use dsm_types::{BlockAddr, ClusterId};
 
     #[test]
-    fn atomic_write_absorbs_transient_injections() {
-        let _guard = crate::fault::test_lock();
-        let path = std::env::temp_dir().join(format!(
-            "dsm-obs-atomic-{}-{:?}.json",
+    fn failed_atomic_write_leaves_the_old_file() {
+        let dir = std::env::temp_dir().join(format!(
+            "dsm-obs-atomic-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
-        // Two injected EINTRs fit inside the three-attempt budget.
-        crate::fault::install(Some(
-            crate::fault::FaultPlan::from_spec("atomic-write-io:2").unwrap(),
-        ));
-        let out = write_json_atomic(&path, &Json::U64(1));
-        crate::fault::install(None);
-        out.unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("out.json");
+        write_json_atomic(&path, &Json::U64(1)).unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "1\n");
-        // Three injections exhaust it: a structured internal error, and
-        // the old file must survive untouched (no torn write).
-        crate::fault::install(Some(
-            crate::fault::FaultPlan::from_spec("atomic-write-io:3").unwrap(),
-        ));
-        let out = write_json_atomic(&path, &Json::U64(2));
-        crate::fault::install(None);
-        let err = out.unwrap_err();
+        // A directory where the temp file goes: its create fails, so the
+        // write is a structured internal error and the rename never runs.
+        std::fs::create_dir(dir.join("out.json.tmp")).unwrap();
+        let err = write_json_atomic(&path, &Json::U64(2)).unwrap_err();
         assert_eq!(err.exit_code(), 4, "{err}");
+        assert!(err.to_string().contains("cannot write"), "{err}");
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "1\n");
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -363,9 +363,8 @@ mod tests {
 
     #[test]
     fn truncated_mapping_fails_the_replay_cleanly() {
-        use crate::fault::{install, test_lock, FaultPlan};
         use crate::probe::NoProbe;
-        use dsm_types::{Geometry, Topology};
+        use dsm_types::{DsmError, Geometry, Topology};
         let fft = Fft::with_points(1 << 8);
         let topo = Topology::paper_default();
         let trace = SharedTrace::from_refs(
@@ -378,25 +377,30 @@ mod tests {
         let path = std::env::temp_dir().join(format!("dsm-runner-{}.dsmt", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
         let mapped = dsm_trace::open_shared_mapped(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
         let spec = SystemSpec::base();
-        let _guard = test_lock();
-        install(Some(FaultPlan::from_spec("mmap-truncate").unwrap()));
+        assert_eq!(
+            run_trace(&spec, "fft", fft.shared_bytes(), &mapped).unwrap(),
+            run_trace(&spec, "fft", fft.shared_bytes(), &trace).unwrap()
+        );
+        // Shrink the file under the live mapping: a replay would now
+        // fault on the vanished pages, so both runners must refuse it.
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(16)
+            .unwrap();
         let truncated = run_trace(&spec, "fft", fft.shared_bytes(), &mapped);
         let probed = run_trace_probed(&spec, "fft", fft.shared_bytes(), &mapped, NoProbe, None);
-        install(None);
+        std::fs::remove_file(&path).unwrap();
         // Only a kernel mapping has a backing file to re-check; platforms
         // without the raw mmap path load an owned copy that always passes.
         if mapped.is_mapped() {
-            let err = truncated.unwrap_err().to_string();
-            assert!(err.contains("mmap-truncate"), "{err}");
+            let err = truncated.unwrap_err();
+            assert!(err.to_string().contains("shrank"), "{err}");
+            assert_eq!(DsmError::from(err).exit_code(), 3);
             assert!(probed.is_err());
         }
-        let clean = run_trace(&spec, "fft", fft.shared_bytes(), &mapped).unwrap();
-        assert_eq!(
-            clean,
-            run_trace(&spec, "fft", fft.shared_bytes(), &trace).unwrap()
-        );
     }
 
     #[test]

@@ -226,9 +226,9 @@ pub fn read_shared<R: Read>(mut r: R) -> Result<SharedTrace, CodecError> {
 /// Loading cost is independent of trace size, and every process (or
 /// sweep worker) mapping the same file shares one set of physical pages.
 ///
-/// On platforms without the raw `mmap` path (or under `DSM_NO_MMAP=1`)
-/// the mapping degrades to an owned read; the parse and the resulting
-/// trace bytes are identical either way.
+/// On platforms without the raw `mmap` path the mapping degrades to an
+/// owned read; the parse and the resulting trace bytes are identical
+/// either way.
 ///
 /// # Errors
 ///

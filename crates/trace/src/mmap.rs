@@ -9,10 +9,10 @@
 //!
 //! The workspace is dependency-free, so there is no `libc` to call. On
 //! Linux x86-64 and AArch64 [`Mapping::open`] issues the `mmap`/`munmap`
-//! syscalls directly with inline assembly; everywhere else (and under
-//! the `DSM_NO_MMAP=1` escape hatch) it falls back to reading the file
-//! into an owned buffer, so callers never need platform `cfg`s — only
-//! the sharing/startup benefits differ, never the bytes observed.
+//! syscalls directly with inline assembly; everywhere else it falls
+//! back to reading the file into an owned buffer, so callers never need
+//! platform `cfg`s — only the sharing/startup benefits differ, never the
+//! bytes observed.
 //!
 //! # Safety
 //!
@@ -48,7 +48,7 @@ enum Backing {
     /// `ptr` came from `mmap`; `Drop` must `munmap` it.
     Kernel,
     /// `ptr` points into the vector (kept alive here). Covers platforms
-    /// without the raw syscall path, `DSM_NO_MMAP=1`, and empty files.
+    /// without the raw syscall path, and empty files.
     Owned(#[allow(dead_code)] Vec<u8>),
 }
 
@@ -61,8 +61,7 @@ unsafe impl Sync for Mapping {}
 
 impl Mapping {
     /// Maps `path` read-only, falling back to an owned read of the whole
-    /// file on platforms without the raw syscall path or when the
-    /// `DSM_NO_MMAP=1` environment override is set.
+    /// file on platforms without the raw syscall path.
     ///
     /// # Errors
     ///
@@ -72,7 +71,7 @@ impl Mapping {
         let file = File::open(path)?;
         let len = usize::try_from(file.metadata()?.len())
             .map_err(|_| io::Error::other("file too large to map on this platform"))?;
-        if len == 0 || no_mmap_override() {
+        if len == 0 {
             drop(file);
             return Ok(Mapping::from_vec(std::fs::read(path)?));
         }
@@ -105,18 +104,11 @@ impl Mapping {
     /// # Errors
     ///
     /// Returns an I/O error if the file cannot be fstat'ed or is now
-    /// shorter than the mapped length (also injected under a
-    /// `mmap-truncate` [`dsm_types::fault::FaultPlan`]).
+    /// shorter than the mapped length.
     pub fn revalidate(&self) -> io::Result<()> {
         let Some(file) = &self.file else {
             return Ok(());
         };
-        if dsm_types::fault::active().is_some_and(|p| p.site == dsm_types::FaultSite::MmapTruncate)
-        {
-            return Err(io::Error::other(
-                "injected fault: mapped trace file reported truncated (mmap-truncate)",
-            ));
-        }
         let now = file.metadata()?.len();
         if now < self.len as u64 {
             return Err(io::Error::other(format!(
@@ -176,12 +168,6 @@ impl std::fmt::Debug for Mapping {
             .field("kernel_mapped", &self.is_kernel_mapped())
             .finish()
     }
-}
-
-/// Whether `DSM_NO_MMAP=1` (or any non-empty value but `0`) disables the
-/// syscall path — useful for A/B-ing storage modes on one platform.
-fn no_mmap_override() -> bool {
-    matches!(std::env::var("DSM_NO_MMAP"), Ok(v) if !v.is_empty() && v != "0")
 }
 
 #[cfg(all(
@@ -401,27 +387,6 @@ mod tests {
     #[test]
     fn owned_backing_always_revalidates() {
         Mapping::from_vec(vec![1, 2, 3]).revalidate().unwrap();
-    }
-
-    #[test]
-    fn injected_truncation_fault_trips_revalidate() {
-        use dsm_types::fault;
-        let path = temp_path("fault-reval");
-        std::fs::File::create(&path)
-            .unwrap()
-            .write_all(&[9u8; 4096])
-            .unwrap();
-        let map = Mapping::open(&path).unwrap();
-        if map.is_kernel_mapped() {
-            let _guard = fault::test_lock();
-            fault::install(Some(fault::FaultPlan::from_spec("mmap-truncate").unwrap()));
-            let err = map.revalidate().unwrap_err();
-            fault::install(None);
-            assert!(err.to_string().contains("injected"), "{err}");
-            map.revalidate().expect("clean once the plan is cleared");
-        }
-        drop(map);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -57,9 +57,6 @@ pub enum ErrorKind {
     /// The coherence invariant checker found corrupt protocol state
     /// (exit code 4 — the output cannot be trusted).
     InvariantViolation,
-    /// A supervised operation exceeded its deadline — a hung subprocess
-    /// (exit code 4 — the run did not complete).
-    Stalled,
 }
 
 impl ErrorKind {
@@ -71,7 +68,7 @@ impl ErrorKind {
         match self {
             ErrorKind::Usage => 2,
             ErrorKind::BadInput => 3,
-            ErrorKind::Internal | ErrorKind::InvariantViolation | ErrorKind::Stalled => 4,
+            ErrorKind::Internal | ErrorKind::InvariantViolation => 4,
         }
     }
 
@@ -83,7 +80,6 @@ impl ErrorKind {
             ErrorKind::BadInput => "bad input",
             ErrorKind::Internal => "internal",
             ErrorKind::InvariantViolation => "invariant violation",
-            ErrorKind::Stalled => "stalled",
         }
     }
 }
@@ -149,11 +145,6 @@ impl DsmError {
     /// A coherence invariant violation (exit code 4).
     pub fn invariant(message: impl Into<String>) -> Self {
         Self::new(ErrorKind::InvariantViolation, message)
-    }
-
-    /// A deadline expiry — a hung subprocess (exit code 4).
-    pub fn stalled(message: impl Into<String>) -> Self {
-        Self::new(ErrorKind::Stalled, message)
     }
 
     /// Pushes a context frame describing where the error passed through;
@@ -227,8 +218,6 @@ mod tests {
         assert_eq!(DsmError::bad_input("x").exit_code(), 3);
         assert_eq!(DsmError::internal("x").exit_code(), 4);
         assert_eq!(DsmError::invariant("x").exit_code(), 4);
-        assert_eq!(DsmError::stalled("x").exit_code(), 4);
-        assert_eq!(ErrorKind::Stalled.label(), "stalled");
     }
 
     #[test]

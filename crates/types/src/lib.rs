@@ -29,7 +29,6 @@ pub mod cluster_set;
 pub mod decoded;
 pub mod error;
 pub mod fastmap;
-pub mod fault;
 pub mod geometry;
 pub mod ids;
 pub mod op;
@@ -40,7 +39,6 @@ pub use cluster_set::{ClusterSet, ClusterSetIter};
 pub use decoded::DecodedRef;
 pub use error::{ConfigError, DsmError, ErrorKind};
 pub use fastmap::{DenseMap, FxBuildHasher, FxHashMap, FxHasher};
-pub use fault::{FaultPlan, FaultSite};
 pub use geometry::{AddrParts, Geometry};
 pub use ids::{ClusterId, LocalProcId, ProcId, Topology};
 pub use op::{MemOp, MemRef};

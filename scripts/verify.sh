@@ -38,12 +38,16 @@ fi
 
 echo "== panic-free fallible-surface gate =="
 # Structured-error surfaces must not regress to unwrap()/expect(): the
-# trace codec, the sweep engine with its point table and crash-safety
-# journal, and every binary report DsmError (exit codes 2 usage / 3 bad
-# input / 4 internal) instead of panicking. Test modules (below
-# #[cfg(test)]) are exempt.
+# trace codec and the mapped-trace revalidation, the runners' mapping
+# check, the atomic result writer, the sweep engine with its point table
+# and crash-safety journal, and every binary report DsmError (exit codes
+# 2 usage / 3 bad input / 4 internal) instead of panicking. Test modules
+# (below #[cfg(test)]) are exempt.
 fallible=(
   crates/trace/src/codec.rs
+  crates/trace/src/mmap.rs
+  crates/core/src/runner.rs
+  crates/core/src/obs/mod.rs
   crates/bench/src/sweep.rs
   crates/bench/src/journal.rs
   crates/bench/src/points.rs
